@@ -151,6 +151,8 @@ def _cmd_verify(args) -> int:
     elif args.subject == "theorem2":
         points = [(args.p, args.w)]
         if args.grid is not None:
+            if args.grid < 2:
+                raise DomainError("theorem2 --grid requires at least 2 steps per axis")
             axis = np.linspace(0.0, 1.0, args.grid)
             points = [(float(p), float(w)) for p in axis for w in axis]
         for p, w in points:

@@ -1,9 +1,10 @@
 """Hot numeric kernels: closed-form B1 objectives and a multistart simplex.
 
-The same source functions are either JIT-compiled with numba or run as plain
-numpy/Python, selected once at import time by the environment variable
-``PURITY_WITNESS_BACKEND`` ("numba" or "numpy"; default numba when available).
-Both paths execute identical code, so results agree bit for bit.
+Everything here is plain numpy.  The objectives broadcast over any leading
+axes (scalar calls work too), and the simplex search advances every restart
+of a multistart search together as one ``(B, n + 1, n)`` array, so a search
+costs a few array operations per iteration instead of a Python loop per
+restart.
 
 Objective kinds:
   0 -- qubit B1 for effect parameters (r0, q0, r1, q1, theta) with the
@@ -12,99 +13,79 @@ Objective kinds:
        maximally mixed input of dimension d, pure post states in the
        two-dimensional subspace.
 
-Parameters are projected onto their constraint set inside the objective, so
-the simplex search runs over a plain box.
+Parameters are projected onto their constraint set (``project``) inside the
+objective, so the simplex search runs over a plain box.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_env = os.environ.get("PURITY_WITNESS_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"PURITY_WITNESS_BACKEND must be 'numba' or 'numpy', got {_env!r}"
-    )
-
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-def _identity(f):
-    return f
+def project(kind, params):
+    """Project kernel parameters (last axis of size 5) onto their constraints.
+
+    Kind 0 clips each (r, q) pair to 0 <= q <= r <= 1 - q, kind 1 each
+    (a, b) pair to 0 <= b <= 1 and 0 <= a <= 1/(1 + b); theta is kept.  The
+    projection is idempotent, so a projected point has the same objective
+    value as the point it came from.
+    """
+    x = np.array(params, dtype=float)
+    for i in (0, 2):
+        if kind == 0:
+            r = x[..., i] = np.clip(x[..., i], 0.0, 1.0)
+            x[..., i + 1] = np.clip(x[..., i + 1], 0.0, np.minimum(r, 1.0 - r))
+        else:
+            b = x[..., i + 1] = np.clip(x[..., i + 1], 0.0, 1.0)
+            x[..., i] = np.clip(x[..., i], 0.0, 1.0 / (1.0 + b))
+    return x
 
 
-_jit = njit(cache=True) if _HAVE_NUMBA else _identity
-
-
-@_jit
-def _clip(v, lo, hi):
-    if v < lo:
-        return lo
-    if v > hi:
-        return hi
-    return v
-
-
-@_jit
 def b1_qubit_objective(r0, q0, r1, q1, theta, p, w):
     """B1 for qubit effects E_+|x = r_x 1 + q_x v_x.sigma and optimal states.
 
     v0, v1 lie in the x-z plane with angle theta between them.  The initial
     and post-measurement Bloch vectors are the analytically optimal ones for
     lengths p and w.  Parameters are projected onto 0 <= q <= r <= 1 - q.
+    All arguments broadcast.
     """
-    r0 = _clip(r0, 0.0, 1.0)
-    r1 = _clip(r1, 0.0, 1.0)
-    q0 = _clip(q0, 0.0, min(r0, 1.0 - r0))
-    q1 = _clip(q1, 0.0, min(r1, 1.0 - r1))
-    x = math.cos(theta)
-    # |q0 v0 - q1 v1| and the post-state alignment terms
-    n_sq = q0 * q0 + q1 * q1 - 2.0 * q0 * q1 * x
-    n = math.sqrt(max(n_sq, 0.0))
-    x0 = 1.0 + r0 - r1 + w * n
-    x1 = 1.0 + r1 - r0 + w * n
-    # |q0 X0 v0 + q1 X1 v1| for the initial-state alignment
-    m_sq = (
-        q0 * q0 * x0 * x0
-        + q1 * q1 * x1 * x1
-        + 2.0 * q0 * q1 * x0 * x1 * x
-    )
-    m = math.sqrt(max(m_sq, 0.0))
-    return r0 * x0 + r1 * x1 + p * m
+    return _objective(0, _stack(r0, q0, r1, q1, theta), p, w)
 
 
-@_jit
 def b1_qudit_maxmixed_objective(a0, b0, a1, b1, theta, d):
     """B1 for block effects a_i(1 + b_i c_i.sigma) (+) 1_(d-2), mixed input.
 
     Post states are the optimal pure states of the qubit subspace; theta is
     the angle between c0 and c1.  Projection enforces 0 <= b <= 1 and
-    0 <= a <= 1/(1 + b).
+    0 <= a <= 1/(1 + b).  All arguments broadcast.
     """
-    b0 = _clip(b0, 0.0, 1.0)
-    b1 = _clip(b1, 0.0, 1.0)
-    a0 = _clip(a0, 0.0, 1.0 / (1.0 + b0))
-    a1 = _clip(a1, 0.0, 1.0 / (1.0 + b1))
-    x = math.cos(theta)
+    return _objective(1, _stack(a0, b0, a1, b1, theta), d, 0.0)
+
+
+def _stack(*params):
+    return np.stack(np.broadcast_arrays(*params), axis=-1)
+
+
+def _objective(kind, params, arg0, arg1):
+    """B1 of the given kind at params (..., 5); arg0, arg1 are (p, w) for
+    kind 0 and (d, unused) for kind 1."""
+    u0, v0, u1, v1, theta = np.moveaxis(project(kind, params), -1, 0)
+    x = np.cos(theta)
+    if kind == 0:
+        r0, q0, r1, q1, p, w = u0, v0, u1, v1, arg0, arg1
+        # |q0 v0 - q1 v1| and the post-state alignment terms
+        n = np.sqrt(np.maximum(q0 * q0 + q1 * q1 - 2.0 * q0 * q1 * x, 0.0))
+        x0 = 1.0 + r0 - r1 + w * n
+        x1 = 1.0 + r1 - r0 + w * n
+        # |q0 X0 v0 + q1 X1 v1| for the initial-state alignment
+        m_sq = q0 * q0 * x0 * x0 + q1 * q1 * x1 * x1 + 2.0 * q0 * q1 * x0 * x1 * x
+        return r0 * x0 + r1 * x1 + p * np.sqrt(np.maximum(m_sq, 0.0))
+    a0, b0, a1, b1, d = u0, v0, u1, v1, arg0
     g0 = a0 * b0
     g1 = a1 * b1
-    m_sq = g0 * g0 + g1 * g1 - 2.0 * g0 * g1 * x
-    m = math.sqrt(max(m_sq, 0.0))
+    m = np.sqrt(np.maximum(g0 * g0 + g1 * g1 - 2.0 * g0 * g1 * x, 0.0))
     p_plus0 = (2.0 * a0 + d - 2.0) / d
     p_plus1 = (2.0 * a1 + d - 2.0) / d
     return p_plus0 * (1.0 + a0 - a1 + m) + p_plus1 * (1.0 + a1 - a0 + m)
@@ -116,7 +97,7 @@ def b1_qubit_bloch_batch(r0, q0, v0, r1, q1, v1, t_in, t0, t1):
     Effects E_+|x = r_x 1 + q_x v_x.sigma; t_in, t0, t1 are the (length-
     scaled) Bloch vectors of the initial state and the "+" post states of
     measurements 0 and 1.  All arguments broadcast; vectors have a trailing
-    axis of size 3.  Already numpy-vectorized, so it is not JIT-compiled.
+    axis of size 3.
     """
     g0 = q0[..., None] * v0
     g1 = q1[..., None] * v1
@@ -128,109 +109,96 @@ def b1_qubit_bloch_batch(r0, q0, v0, r1, q1, v1, t_in, t0, t1):
     return p_plus0 * term0 + p_plus1 * term1
 
 
-@_jit
-def _objective(kind, params, arg0, arg1):
-    if kind == 0:
-        return b1_qubit_objective(
-            params[0], params[1], params[2], params[3], params[4], arg0, arg1
-        )
-    return b1_qudit_maxmixed_objective(
-        params[0], params[1], params[2], params[3], params[4], arg0
-    )
-
-
-@_jit
-def _nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
-    """Maximize the selected objective from x0 over the box [lo, hi].
+def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
+    """Maximize the selected objective from every row of x0 over [lo, hi].
 
     Standard Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2) on the negated objective.  Returns (best_value, best_point).
+    shrink 1/2) on the negated objective, one simplex per row, all advanced
+    in lockstep; a simplex leaves the active set once its values lie within
+    ftol and its vertices within xtol of its best vertex.  Returns
+    (best_values, best_points), one per row.
     """
-    n = x0.shape[0]
-    pts = np.empty((n + 1, n))
-    vals = np.empty(n + 1)
-    for i in range(n + 1):
-        for j in range(n):
-            pts[i, j] = x0[j]
-        if i > 0:
-            step = 0.1 * (hi[i - 1] - lo[i - 1])
-            if step == 0.0:
-                step = 0.05
-            if pts[i, i - 1] + step > hi[i - 1]:
-                pts[i, i - 1] -= step
-            else:
-                pts[i, i - 1] += step
-        vals[i] = -_objective(kind, pts[i], arg0, arg1)
+    n_rows, n = x0.shape
+    step = 0.1 * (hi - lo)
+    step = np.where(step == 0.0, 0.05, step)
+    pts = np.repeat(x0[:, None, :], n + 1, axis=1)
+    up = x0 + step
+    diag = np.arange(n)
+    pts[:, diag + 1, diag] = np.where(up > hi, x0 - step, up)
+    vals = -_objective(kind, pts, arg0, arg1)
+    rows = np.arange(n_rows)
+    best_val = np.empty(n_rows)
+    best_x = np.empty((n_rows, n))
 
     for _ in range(maxiter):
-        order = np.argsort(vals)
-        pts = pts[order]
-        vals = vals[order]
-        if vals[n] - vals[0] < ftol:
-            spread = 0.0
-            for j in range(n):
-                s = np.abs(pts[1:, j] - pts[0, j]).max()
-                if s > spread:
-                    spread = s
-            if spread < xtol:
-                break
-        centroid = np.empty(n)
-        for j in range(n):
-            centroid[j] = pts[:n, j].sum() / n
-        refl = 2.0 * centroid - pts[n]
+        order = np.argsort(vals, axis=1)
+        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+        done = (vals[:, n] - vals[:, 0] < ftol) & (
+            np.abs(pts[:, 1:] - pts[:, :1]).max(axis=(1, 2)) < xtol
+        )
+        if done.any():
+            best_val[rows[done]] = -vals[done, 0]
+            best_x[rows[done]] = pts[done, 0]
+            pts, vals, rows = pts[~done], vals[~done], rows[~done]
+            if rows.size == 0:
+                return best_val, best_x
+
+        worst, f_worst = pts[:, n], vals[:, n]
+        centroid = pts[:, :n].sum(axis=1) / n
+        refl = 2.0 * centroid - worst
         f_refl = -_objective(kind, refl, arg0, arg1)
-        if f_refl < vals[0]:
-            expd = centroid + 2.0 * (refl - centroid)
-            f_expd = -_objective(kind, expd, arg0, arg1)
-            if f_expd < f_refl:
-                pts[n] = expd
-                vals[n] = f_expd
-            else:
-                pts[n] = refl
-                vals[n] = f_refl
-        elif f_refl < vals[n - 1]:
-            pts[n] = refl
-            vals[n] = f_refl
-        else:
-            if f_refl < vals[n]:
-                contr = centroid + 0.5 * (refl - centroid)
-            else:
-                contr = centroid + 0.5 * (pts[n] - centroid)
-            f_contr = -_objective(kind, contr, arg0, arg1)
-            if f_contr < min(f_refl, vals[n]):
-                pts[n] = contr
-                vals[n] = f_contr
-            else:
-                for i in range(1, n + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = -_objective(kind, pts[i], arg0, arg1)
+        expand = f_refl < vals[:, 0]
+        contract = ~expand & ~(f_refl < vals[:, n - 1])
+        # expansion goes twice, contraction half the way from the centroid
+        # to `far`; an expanding row has f_refl < f_worst, so its far point
+        # is refl and the acceptance test min(f_refl, f_worst) is f_refl
+        far = np.where((f_refl < f_worst)[:, None], refl, worst)
+        trial = centroid + np.where(expand, 2.0, 0.5)[:, None] * (far - centroid)
+        # expanding and contracting rows are disjoint: one objective call
+        moved = expand | contract
+        f_trial = np.full_like(f_refl, np.inf)
+        if moved.any():
+            f_trial[moved] = -_objective(kind, trial[moved], arg0, arg1)
+        use_trial = f_trial < np.minimum(f_refl, f_worst)
+        shrink = contract & ~use_trial
+        new_pt = np.where(use_trial[:, None], trial, refl)
+        new_val = np.where(use_trial, f_trial, f_refl)
+        keep = ~shrink
+        pts[keep, n] = new_pt[keep]
+        vals[keep, n] = new_val[keep]
+        if shrink.any():
+            base = pts[shrink, :1]
+            shrunk = base + 0.5 * (pts[shrink, 1:] - base)
+            pts[shrink, 1:] = shrunk
+            vals[shrink, 1:] = -_objective(kind, shrunk, arg0, arg1)
 
-    best = np.argmin(vals)
-    return -vals[best], pts[best].copy()
+    last = np.argmin(vals, axis=1)
+    best_val[rows] = -vals[np.arange(rows.size), last]
+    best_x[rows] = pts[np.arange(rows.size), last]
+    return best_val, best_x
 
 
-@_jit
 def multistart_maximize(kind, arg0, arg1, starts, lo, hi, maxiter, ftol, xtol):
     """Run a restarted simplex search from every start; keep the best.
 
     Each start gets up to three simplex re-runs from its own optimum to
-    escape collapsed simplices.  Ties go to the earlier restart.  Returns
+    escape collapsed simplices; a start stops re-running once a re-run gains
+    no more than 1e-13.  Ties go to the earlier restart.  Returns
     (best_value, best_params, per_start_values).
     """
-    n_starts = starts.shape[0]
-    per_start = np.empty(n_starts)
-    best_val = -1e300
-    best_x = starts[0].copy()
-    for s in range(n_starts):
-        val, x = _nelder_mead(kind, arg0, arg1, starts[s], lo, hi, maxiter, ftol, xtol)
-        for _ in range(3):
-            val2, x2 = _nelder_mead(kind, arg0, arg1, x, lo, hi, maxiter, ftol, xtol)
-            if val2 <= val + 1e-13:
-                val, x = max(val, val2), (x2 if val2 > val else x)
-                break
-            val, x = val2, x2
-        per_start[s] = val
-        if val > best_val:
-            best_val = val
-            best_x = x.copy()
-    return best_val, best_x, per_start
+    val, x = _nelder_mead_batch(kind, arg0, arg1, starts, lo, hi, maxiter, ftol, xtol)
+    active = np.arange(starts.shape[0])
+    for _ in range(3):
+        if active.size == 0:
+            break
+        val2, x2 = _nelder_mead_batch(
+            kind, arg0, arg1, x[active], lo, hi, maxiter, ftol, xtol
+        )
+        old = val[active]
+        gained = val2 > old
+        val[active[gained]] = val2[gained]
+        x[active[gained]] = x2[gained]
+        active = active[val2 > old + 1e-13]
+    best = int(np.argmax(val))
+    return val[best], x[best].copy(), val

@@ -179,11 +179,7 @@ def params_to_protocol(
     """Build the concrete state and measure-and-prepare pair for a kernel
     parameter vector (r0, q0, r1, q1, theta), for cross-checking the
     closed-form objective against the full matrix simulation."""
-    r0, q0, r1, q1, theta = params
-    r0 = min(max(r0, 0.0), 1.0)
-    q0 = min(max(q0, 0.0), min(r0, 1.0 - r0))
-    r1 = min(max(r1, 0.0), 1.0)
-    q1 = min(max(q1, 0.0), min(r1, 1.0 - r1))
+    r0, q0, r1, q1, theta = kernels.project(0, params)
     v0 = np.array([0.0, 0.0, 1.0])
     v1 = np.array([math.sin(theta), 0.0, math.cos(theta)])
     e0 = QubitEffectParams(r0, q0, v0)
@@ -218,7 +214,7 @@ def maximize_b1_qubit(
     closed = b1_max_constrained(p, w)
     return OptimizationReport(
         best_value=float(best),
-        best_params=np.asarray(params),
+        best_params=kernels.project(0, params),
         closed_form=closed,
         gap=closed - float(best),
         restarts=restarts,
@@ -249,7 +245,7 @@ def maximize_b1_qudit_maxmixed(
     closed = max(3.0, 4.0 * (1.0 - 1.0 / d))
     return OptimizationReport(
         best_value=float(best),
-        best_params=np.asarray(params),
+        best_params=kernels.project(1, params),
         closed_form=closed,
         gap=closed - float(best),
         restarts=restarts,

@@ -310,6 +310,15 @@ def test_cli_verify_theorem2_deterministic_branch(capsys):
     assert rep["best_value"] == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("grid", ["-1", "0", "1"])
+def test_cli_verify_theorem2_rejects_grid_below_two(grid, capsys):
+    # -1 used to end in a numpy traceback and 0 verified no point at all
+    assert main(["verify", "theorem2", "--grid", grid, "--restarts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err
+
+
 def test_cli_verify_qudit_d4(capsys):
     rc = main(["verify", "qudit", "--d", "4", "--restarts", "40", "--seed", "1"])
     captured = capsys.readouterr()

@@ -230,7 +230,136 @@ def test_monotonicity_sweep_requires_sorted_input():
 
 
 def test_kernel_backend_flag_is_exposed():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
+
+
+_BOXES = {
+    0: (np.zeros(5), np.array([1.0, 0.5, 1.0, 0.5, math.pi])),
+    1: (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi])),
+}
+_KIND_ARGS = {0: (0.6, 0.8), 1: (3.0, 0.0)}
+_SEARCH = (4000, 1e-12, 1e-10)  # maxiter, ftol, xtol, as optimizer.py uses
+
+
+def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
+    """One simplex at a time, one scalar objective call per point."""
+
+    def f(x):
+        return -kernels._objective(kind, x, arg0, arg1)
+
+    n = x0.shape[0]
+    pts = np.tile(x0, (n + 1, 1))
+    for j in range(n):
+        step = 0.1 * (hi[j] - lo[j]) or 0.05
+        pts[j + 1, j] += -step if x0[j] + step > hi[j] else step
+    vals = np.array([f(x) for x in pts])
+    for _ in range(maxiter):
+        order = np.argsort(vals)
+        pts, vals = pts[order], vals[order]
+        if vals[n] - vals[0] < ftol and np.abs(pts[1:] - pts[0]).max() < xtol:
+            break
+        centroid = pts[:n].sum(axis=0) / n
+        refl = 2.0 * centroid - pts[n]
+        f_refl = f(refl)
+        if f_refl < vals[0]:
+            expd = centroid + 2.0 * (refl - centroid)
+            f_expd = f(expd)
+            pts[n], vals[n] = (expd, f_expd) if f_expd < f_refl else (refl, f_refl)
+        elif f_refl < vals[n - 1]:
+            pts[n], vals[n] = refl, f_refl
+        else:
+            far = refl if f_refl < vals[n] else pts[n]
+            contr = centroid + 0.5 * (far - centroid)
+            f_contr = f(contr)
+            if f_contr < min(f_refl, vals[n]):
+                pts[n], vals[n] = contr, f_contr
+            else:
+                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+                vals[1:] = [f(x) for x in pts[1:]]
+    best = np.argmin(vals)
+    return -vals[best], pts[best].copy()
+
+
+def _reference_multistart(kind, starts):
+    """Per-start loop with chained re-runs and the earliest-start tie rule."""
+    lo, hi = _BOXES[kind]
+    per_start = []
+    best_val, best_x = -np.inf, None
+    for x0 in starts:
+        val, x = _reference_nelder_mead(kind, *_KIND_ARGS[kind], x0, lo, hi, *_SEARCH)
+        for _ in range(3):
+            val2, x2 = _reference_nelder_mead(
+                kind, *_KIND_ARGS[kind], x, lo, hi, *_SEARCH
+            )
+            gained = val2 > val + 1e-13
+            if val2 > val:
+                val, x = val2, x2
+            if not gained:
+                break
+        per_start.append(val)
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x, np.array(per_start)
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_lockstep_search_matches_scalar_reference_bitwise(kind):
+    lo, hi = _BOXES[kind]
+    starts = np.random.default_rng(21).uniform(lo, hi, size=(6, 5))
+    best, x, per_start = kernels.multistart_maximize(
+        kind, *_KIND_ARGS[kind], starts, lo, hi, *_SEARCH
+    )
+    ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts)
+    assert best == ref_best
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(per_start, ref_per_start)
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_lockstep_rows_share_no_state(kind):
+    # one call over B starts gives what B single-start calls give
+    lo, hi = _BOXES[kind]
+    starts = np.random.default_rng(4).uniform(lo, hi, size=(12, 5))
+    _, _, batch = kernels.multistart_maximize(
+        kind, *_KIND_ARGS[kind], starts, lo, hi, *_SEARCH
+    )
+    single = [
+        kernels.multistart_maximize(
+            kind, *_KIND_ARGS[kind], s[None], lo, hi, *_SEARCH
+        )[2][0]
+        for s in starts
+    ]
+    np.testing.assert_array_equal(batch, single)
+
+
+def test_objectives_broadcast_like_scalar_calls():
+    # points outside the constraint set exercise the projection too
+    pts = np.random.default_rng(5).uniform(-0.2, 1.2, size=(7, 3, 5))
+    flat = [[float(v) for v in x] for x in pts.reshape(-1, 5)]
+    qubit = kernels.b1_qubit_objective(*np.moveaxis(pts, -1, 0), 0.6, 0.8)
+    qudit = kernels.b1_qudit_maxmixed_objective(*np.moveaxis(pts, -1, 0), 3.0)
+    assert qubit.shape == qudit.shape == (7, 3)
+    np.testing.assert_array_equal(
+        qubit.ravel(), [kernels.b1_qubit_objective(*x, 0.6, 0.8) for x in flat]
+    )
+    np.testing.assert_array_equal(
+        qudit.ravel(), [kernels.b1_qudit_maxmixed_objective(*x, 3.0) for x in flat]
+    )
+    np.testing.assert_array_equal(qubit, kernels._objective(0, pts, 0.6, 0.8))
+    np.testing.assert_array_equal(qudit, kernels._objective(1, pts, 3.0, 0.0))
+
+
+def test_reported_params_are_feasible_and_reproduce_value():
+    rep = maximize_b1_qubit(0.6, 0.8, restarts=5, seed=0)
+    r0, q0, r1, q1, _ = rep.best_params
+    for r, q in ((r0, q0), (r1, q1)):
+        assert 0.0 <= r <= 1.0 and 0.0 <= q <= min(r, 1.0 - r)
+    assert kernels._objective(0, rep.best_params, 0.6, 0.8) == rep.best_value
+    rep = maximize_b1_qudit_maxmixed(3, restarts=5, seed=0)
+    a0, b0, a1, b1_, _ = rep.best_params
+    for a, b in ((a0, b0), (a1, b1_)):
+        assert 0.0 <= b <= 1.0 and 0.0 <= a <= 1.0 / (1.0 + b)
+    assert kernels._objective(1, rep.best_params, 3.0, 0.0) == rep.best_value
 
 
 def test_kernel_objective_matches_closed_form_at_known_optimum():

@@ -85,7 +85,11 @@ def counts_record_from_dict(data: dict) -> CountsRecord:
             raise CountsFormatError(f"settings[{k}] must be an object")
         x = entry.get("x")
         y = entry.get("y")
-        if x not in (0, 1) or y not in (0, 1):
+        # bools and floats compare equal to 0 and 1 but are not indices
+        if any(
+            not isinstance(v, int) or isinstance(v, bool) or v not in (0, 1)
+            for v in (x, y)
+        ):
             raise CountsFormatError(f"settings[{k}]: 'x' and 'y' must be 0 or 1")
         if (x, y) in seen:
             raise CountsFormatError(f"setting pair ({x},{y}) appears twice")

@@ -1,10 +1,11 @@
 """Hot numeric kernels: closed-form B1 objectives and a multistart simplex.
 
 Everything here is plain numpy.  The objectives broadcast over any leading
-axes (scalar calls work too), and the simplex search advances every restart
-of a multistart search together as one ``(B, n + 1, n)`` array, so a search
-costs a few array operations per iteration instead of a Python loop per
-restart.
+axes (scalar calls work too).  The simplex search maximizes any objective
+callable that broadcasts over a ``(..., n)`` population; it advances every
+restart of a multistart search together as one ``(B, n + 1, n)`` array, so a
+search costs a few array operations per iteration instead of a Python loop
+per restart.
 
 Objective kinds:
   0 -- qubit B1 for effect parameters (r0, q0, r1, q1, theta) with the
@@ -109,8 +110,8 @@ def b1_qubit_bloch_batch(r0, q0, v0, r1, q1, v1, t_in, t0, t1):
     return p_plus0 * term0 + p_plus1 * term1
 
 
-def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
-    """Maximize the selected objective from every row of x0 over [lo, hi].
+def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
+    """Maximize objective from every row of x0; [lo, hi] sizes the simplex.
 
     Standard Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
     shrink 1/2) on the negated objective, one simplex per row, all advanced
@@ -125,7 +126,7 @@ def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
     up = x0 + step
     diag = np.arange(n)
     pts[:, diag + 1, diag] = np.where(up > hi, x0 - step, up)
-    vals = -_objective(kind, pts, arg0, arg1)
+    vals = -objective(pts)
     rows = np.arange(n_rows)
     best_val = np.empty(n_rows)
     best_x = np.empty((n_rows, n))
@@ -147,7 +148,7 @@ def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
         worst, f_worst = pts[:, n], vals[:, n]
         centroid = pts[:, :n].sum(axis=1) / n
         refl = 2.0 * centroid - worst
-        f_refl = -_objective(kind, refl, arg0, arg1)
+        f_refl = -objective(refl)
         expand = f_refl < vals[:, 0]
         contract = ~expand & ~(f_refl < vals[:, n - 1])
         # expansion goes twice, contraction half the way from the centroid
@@ -159,7 +160,7 @@ def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
         moved = expand | contract
         f_trial = np.full_like(f_refl, np.inf)
         if moved.any():
-            f_trial[moved] = -_objective(kind, trial[moved], arg0, arg1)
+            f_trial[moved] = -objective(trial[moved])
         use_trial = f_trial < np.minimum(f_refl, f_worst)
         shrink = contract & ~use_trial
         new_pt = np.where(use_trial[:, None], trial, refl)
@@ -171,7 +172,7 @@ def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
             base = pts[shrink, :1]
             shrunk = base + 0.5 * (pts[shrink, 1:] - base)
             pts[shrink, 1:] = shrunk
-            vals[shrink, 1:] = -_objective(kind, shrunk, arg0, arg1)
+            vals[shrink, 1:] = -objective(shrunk)
 
     last = np.argmin(vals, axis=1)
     best_val[rows] = -vals[np.arange(rows.size), last]
@@ -179,21 +180,23 @@ def _nelder_mead_batch(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
     return best_val, best_x
 
 
-def multistart_maximize(kind, arg0, arg1, starts, lo, hi, maxiter, ftol, xtol):
+def multistart_maximize(objective, starts, lo, hi, maxiter, ftol, xtol):
     """Run a restarted simplex search from every start; keep the best.
 
+    objective maps a ``(..., n)`` array of points to ``(...)`` values, and
+    [lo, hi] sizes the initial simplex around each row of starts ``(B, n)``.
     Each start gets up to three simplex re-runs from its own optimum to
     escape collapsed simplices; a start stops re-running once a re-run gains
     no more than 1e-13.  Ties go to the earlier restart.  Returns
     (best_value, best_params, per_start_values).
     """
-    val, x = _nelder_mead_batch(kind, arg0, arg1, starts, lo, hi, maxiter, ftol, xtol)
+    val, x = _nelder_mead_batch(objective, starts, lo, hi, maxiter, ftol, xtol)
     active = np.arange(starts.shape[0])
     for _ in range(3):
         if active.size == 0:
             break
         val2, x2 = _nelder_mead_batch(
-            kind, arg0, arg1, x[active], lo, hi, maxiter, ftol, xtol
+            objective, x[active], lo, hi, maxiter, ftol, xtol
         )
         old = val[active]
         gained = val2 > old

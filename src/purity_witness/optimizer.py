@@ -3,8 +3,11 @@
 Every closed form has an independent numeric route here: multistart
 Nelder-Mead over the effect parametrizations, with states supplied by the
 analytically optimal construction (qubit case) or by exact inner
-maximization (general linear functionals).  Search values must never exceed
-the closed forms; attaining them within tolerance is the verification.
+maximization (general linear functionals).  All three searches (qubit,
+maximally mixed qudit, general functional) run on the one lockstep engine,
+``kernels.multistart_maximize``, with objectives that broadcast over the
+population.  Search values must never exceed the closed forms; attaining
+them within tolerance is the verification.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from . import kernels
 from .errors import DimensionError, DomainError
@@ -209,7 +210,8 @@ def maximize_b1_qubit(
     rng = np.random.default_rng(seed)
     starts = _starts(rng, restarts, _QUBIT_LO, _QUBIT_HI)
     best, params, _ = kernels.multistart_maximize(
-        0, p, w, starts, _QUBIT_LO, _QUBIT_HI, 4000, 1e-12, 1e-10
+        lambda x: kernels._objective(0, x, p, w),
+        starts, _QUBIT_LO, _QUBIT_HI, 4000, 1e-12, 1e-10,
     )
     closed = b1_max_constrained(p, w)
     return OptimizationReport(
@@ -240,7 +242,8 @@ def maximize_b1_qudit_maxmixed(
     rng = np.random.default_rng(seed)
     starts = _starts(rng, restarts, _QUDIT_LO, _QUDIT_HI)
     best, params, _ = kernels.multistart_maximize(
-        1, float(d), 0.0, starts, _QUDIT_LO, _QUDIT_HI, 4000, 1e-12, 1e-10
+        lambda x: kernels._objective(1, x, float(d), 0.0),
+        starts, _QUDIT_LO, _QUDIT_HI, 4000, 1e-12, 1e-10,
     )
     closed = max(3.0, 4.0 * (1.0 - 1.0 / d))
     return OptimizationReport(
@@ -261,80 +264,75 @@ def maximize_b1_qudit_maxmixed(
 def optimal_spectrum(g: np.ndarray, target_purity: float) -> tuple[float, np.ndarray]:
     """Maximize sum(q_i g_i) over the simplex with sum(q_i^2) fixed.
 
-    g is sorted descending.  The optimum puts support on a top segment and
-    is linear in the deviation of g from its segment mean.  Returns the
-    maximal value and the optimal eigenvalue vector (same length as g).
+    g is sorted descending along its last axis; leading axes broadcast.  The
+    optimum puts support on a top segment and is linear in the deviation of
+    g from its segment mean.  Returns the maximal values (a float for 1-D g)
+    and the optimal eigenvalue vectors (same shape as g).
     """
-    d = g.shape[0]
+    g = np.asarray(g, dtype=float)
+    d = g.shape[-1]
     if not 1.0 / d - 1e-12 <= target_purity <= 1.0 + 1e-12:
         raise DomainError("target purity must lie in [1/d, 1]")
     pur = min(max(target_purity, 1.0 / d), 1.0)
-    best_val = -np.inf
-    best_q = None
+    best_val = np.full(g.shape[:-1], -np.inf)
+    best_q = np.zeros(g.shape)
     for k in range(1, d + 1):
         if pur < 1.0 / k - 1e-12:
             continue
-        gs = g[:k]
-        mean = gs.mean()
-        dev = gs - mean
-        nd = float(dev @ dev)
-        q = np.zeros(d)
-        if nd < 1e-28:
-            # constant segment: any feasible q gives the same value; mix the
-            # uniform point with a vertex to meet the purity
-            lam_sq_coeff = 1.0 - 1.0 / k
-            if lam_sq_coeff <= 0.0:
-                lam = 0.0
-            else:
-                lam = math.sqrt(max(pur - 1.0 / k, 0.0) / lam_sq_coeff)
-            q[:k] = (1.0 - lam) / k
-            q[0] += lam
-            val = float(mean)
-        else:
-            t = math.sqrt(max(pur - 1.0 / k, 0.0) / nd)
-            qk = 1.0 / k + t * dev
-            if qk.min() < -1e-12:
-                continue
-            q[:k] = np.clip(qk, 0.0, None)
-            val = float(q[:k] @ gs)
-        if val > best_val:
-            best_val = val
-            best_q = q
-    if best_q is None:
+        gs = g[..., :k]
+        mean = gs.mean(axis=-1)
+        dev = gs - mean[..., None]
+        nd = (dev * dev).sum(axis=-1)
+        # constant segment: any feasible q gives the same value; mix the
+        # uniform point with a vertex to meet the purity
+        flat = nd < 1e-28
+        lam = math.sqrt(max(pur - 1.0 / k, 0.0) / (1.0 - 1.0 / k)) if k > 1 else 0.0
+        t = np.sqrt(max(pur - 1.0 / k, 0.0) / np.where(flat, 1.0, nd))
+        qk = np.where(flat[..., None], (1.0 - lam) / k, 1.0 / k + t[..., None] * dev)
+        qk[..., 0] += np.where(flat, lam, 0.0)
+        feasible = flat | (qk.min(axis=-1) >= -1e-12)
+        qk = np.clip(qk, 0.0, None)
+        val = np.where(flat, mean, (qk * gs).sum(axis=-1))
+        better = feasible & (val > best_val)
+        best_val = np.where(better, val, best_val)
+        q = np.zeros(g.shape)
+        q[..., :k] = qk
+        best_q = np.where(better[..., None], q, best_q)
+    if np.isneginf(best_val).any():
         raise DomainError("no feasible spectrum found")
-    return best_val, best_q
+    return best_val[()], best_q
 
 
 def _hermitian_from_params(v: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    idx = 0
-    for i in range(d):
-        h[i, i] = v[idx]
-        idx += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = v[idx] + 1j * v[idx + 1]
-            h[j, i] = v[idx] - 1j * v[idx + 1]
-            idx += 2
+    """(..., d, d) Hermitian matrices from (..., d^2) parameters: the
+    diagonal, then the real and imaginary part of each upper entry."""
+    h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    h[..., diag, diag] = v[..., :d]
+    rows, cols = np.triu_indices(d, 1)
+    upper = v[..., d::2] + 1j * v[..., d + 1 :: 2]
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
     return h
 
 
 def _effect_from_params(v: np.ndarray, d: int) -> np.ndarray:
-    """d eigenvalues (clipped to [0,1]) + d^2 - d unitary parameters."""
-    eigs = np.clip(v[:d], 0.0, 1.0)
+    """(..., d, d) effects from (..., npar) parameters: d eigenvalues
+    (clipped to [0, 1]), then the eigenbasis (Bloch angles for d = 2, the
+    generator of a unitary exp(iH) otherwise)."""
+    eigs = np.clip(v[..., :d], 0.0, 1.0)
     if d == 2:
-        theta, phi = v[2], v[3]
-        direction = np.array(
-            [
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            ]
+        theta, phi = v[..., 2], v[..., 3]
+        direction = np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+            axis=-1,
         )
-        proj = 0.5 * (np.eye(2, dtype=complex) + np.tensordot(direction, PAULI, axes=1))
-        return eigs[0] * proj + eigs[1] * (np.eye(2) - proj)
-    u = expm(1j * _hermitian_from_params(v[d:], d))
-    return (u * eigs) @ u.conj().T
+        proj = 0.5 * (np.eye(2) + np.tensordot(direction, PAULI, axes=1))
+        return eigs[..., :1, None] * proj + eigs[..., 1:, None] * (np.eye(2) - proj)
+    # exp(iH) = V e^(i lambda) V^dagger from the eigendecomposition of H
+    lam, vec = np.linalg.eigh(_hermitian_from_params(v[..., d:], d))
+    u = (vec * np.exp(1j * lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    return (u * eigs[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def _n_effect_params(d: int) -> int:
@@ -344,30 +342,30 @@ def _n_effect_params(d: int) -> int:
 
 
 def _functional_value(
-    weights: np.ndarray, effects: list[np.ndarray], dim: int, pur: float
-) -> float:
+    weights: np.ndarray, params: np.ndarray, dim: int, pur: float
+) -> np.ndarray:
     """Exact maximum of the functional over states, for fixed effects.
 
+    params (..., 2 npar) holds the parameters of E_(+|0), then E_(+|1).
     Post states are top eigenvectors of F_(a|x) = sum_by w[a,b,x,y] E_(b|y);
     the initial state aligns an optimal fixed-purity spectrum with the
-    eigenbasis of G = sum_ax s_(a|x) E_(a|x).
+    eigenbasis of G = sum_ax s_(a|x) E_(a|x).  The sums run over explicit
+    terms, so every row gets the same arithmetic whatever the batch shape.
     """
-    eff = [
-        [effects[0], np.eye(dim) - effects[0]],
-        [effects[1], np.eye(dim) - effects[1]],
-    ]
-    g = np.zeros((dim, dim), dtype=complex)
-    for a in range(2):
-        for x in range(2):
-            f_ax = np.zeros((dim, dim), dtype=complex)
-            for b in range(2):
-                for y in range(2):
-                    f_ax = f_ax + weights[a, b, x, y] * eff[y][b]
-            s_ax = float(np.linalg.eigvalsh(f_ax)[-1])
-            g = g + s_ax * eff[x][a]
-    gev = np.linalg.eigvalsh(g)[::-1]
-    val, _ = optimal_spectrum(gev, pur)
-    return val
+    plus = _effect_from_params(params.reshape(params.shape[:-1] + (2, -1)), dim)
+    eff = np.stack([plus, np.eye(dim) - plus], axis=-3)  # (..., x, a, d, d)
+    f = sum(
+        weights[:, b, :, y, None, None] * eff[..., y, b, None, None, :, :]
+        for b in range(2)
+        for y in range(2)
+    )
+    s = np.linalg.eigvalsh(f)[..., -1]  # (..., a, x)
+    g = sum(
+        s[..., a, x, None, None] * eff[..., x, a, :, :]
+        for a in range(2)
+        for x in range(2)
+    )
+    return optimal_spectrum(np.linalg.eigvalsh(g)[..., ::-1], pur)[0]
 
 
 def maximize_linear_functional(
@@ -381,7 +379,8 @@ def maximize_linear_functional(
 
     Searches over both effects (eigenvalues plus eigenbasis); post states
     and the initial state are resolved exactly inside the objective, so the
-    reported value is attainable by an explicit protocol.
+    reported value is attainable by an explicit protocol.  The reported
+    eigenvalue entries are clipped to [0, 1], as the objective sees them.
     """
     if dim not in (2, 3):
         raise DimensionError("dim must be 2 or 3")
@@ -392,57 +391,24 @@ def maximize_linear_functional(
     pur = min(max(purity, 1.0 / dim), 1.0)
     npar = _n_effect_params(dim)
     weights = f.weights
-
-    def negobj(v):
-        e0 = _effect_from_params(v[:npar], dim)
-        e1 = _effect_from_params(v[npar:], dim)
-        return -_functional_value(weights, [e0, e1], dim, pur)
-
+    # eigenvalue entries start in [0, 1], angles in [-pi, pi]
+    eig = np.arange(2 * npar) % npar < dim
+    lo = np.where(eig, 0.0, -math.pi)
+    hi = np.where(eig, 1.0, math.pi)
     rng = np.random.default_rng(seed)
-    best_val = -np.inf
-    best_x = None
-    for _ in range(restarts):
-        x0 = np.concatenate(
-            [
-                np.concatenate(
-                    [
-                        rng.uniform(0.0, 1.0, dim),
-                        rng.uniform(-math.pi, math.pi, npar - dim),
-                    ]
-                )
-                for _ in range(2)
-            ]
-        )
-        res = minimize(
-            negobj,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 8000, "fatol": 1e-12, "xatol": 1e-10},
-        )
-        val, x = -res.fun, res.x
-        for _ in range(3):
-            res = minimize(
-                negobj,
-                x,
-                method="Nelder-Mead",
-                options={"maxiter": 8000, "fatol": 1e-12, "xatol": 1e-10},
-            )
-            if -res.fun <= val + 1e-13:
-                if -res.fun > val:
-                    val, x = -res.fun, res.x
-                break
-            val, x = -res.fun, res.x
-        if val > best_val:
-            best_val = val
-            best_x = x
+    starts = _starts(rng, restarts, lo, hi)
+    best, params, _ = kernels.multistart_maximize(
+        lambda v: _functional_value(weights, v, dim, pur),
+        starts, lo, hi, 8000, 1e-12, 1e-10,
+    )
     closed = None
     if dim == 2 and np.array_equal(weights, b1_weights().weights):
         closed = b1_max_initial(math.sqrt(2.0 * pur - 1.0))
     return OptimizationReport(
-        best_value=float(best_val),
-        best_params=np.asarray(best_x),
+        best_value=float(best),
+        best_params=np.where(eig, np.clip(params, 0.0, 1.0), params),
         closed_form=closed,
-        gap=None if closed is None else closed - float(best_val),
+        gap=None if closed is None else closed - float(best),
         restarts=restarts,
         seed=seed,
     )

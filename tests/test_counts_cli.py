@@ -113,6 +113,17 @@ def test_counts_validation_messages(mutate, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "entry,field,value", [(2, "x", True), (0, "y", False), (3, "x", 1.0), (1, "y", 1.0)]
+)
+def test_counts_reject_non_integer_setting_indices(entry, field, value):
+    # each value equals the index it replaces in Python, but is no integer
+    data = _valid_dict()
+    data["settings"][entry][field] = value
+    with pytest.raises(CountsFormatError, match="must be 0 or 1"):
+        counts_record_from_dict(data)
+
+
 def test_ingest_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"label": "x",\n  "settings": [}\n')
@@ -334,6 +345,16 @@ def test_cli_verify_qudit_d3_reports_gap(capsys):
     captured = capsys.readouterr()
     assert rc == 4
     assert "exceeds tolerance" in captured.err
+
+
+def test_cli_verify_monotonicity(capsys):
+    rc = main(["verify", "monotonicity", "--restarts", "15", "--seed", "9"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 0
+    assert len(lines) == 8
+    for line in lines:
+        rep = json.loads(line)
+        assert rep["best_value"] == pytest.approx(rep["closed_form"], abs=1e-5)
 
 
 def test_cli_simulate_validation(tmp_path, capsys):

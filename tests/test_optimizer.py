@@ -6,6 +6,8 @@ import pytest
 from purity_witness import kernels
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.optimizer import (
+    _effect_from_params,
+    _functional_value,
     QUBIT_GAP_TOL,
     QUDIT_GAP_TOL,
     SOUNDNESS_TOL,
@@ -20,7 +22,15 @@ from purity_witness.optimizer import (
     optimal_states_for_effects,
     params_to_protocol,
 )
-from purity_witness.sequence import LinearFunctional, b1, b1_weights, correlations
+from purity_witness.quantum import BinaryMeasurement, DensityMatrix, Effect
+from purity_witness.sequence import (
+    LinearFunctional,
+    ProtocolPair,
+    b1,
+    b1_weights,
+    correlations,
+    evaluate_functional,
+)
 from purity_witness.witness import b1_max_constrained, b1_max_initial
 
 
@@ -214,6 +224,61 @@ def test_functional_search_respects_general_weights():
     assert rep.best_value == pytest.approx(1.0, abs=1e-6)
 
 
+def _p00_weights():
+    """The general weights above: only p(++|00) counts."""
+    w = np.zeros((2, 2, 2, 2))
+    w[0, 0, 0, 0] = 1.0
+    return LinearFunctional(w)
+
+
+def test_functional_search_reports_feasible_params():
+    rep = maximize_linear_functional(b1_weights(), 2, 1.0, restarts=5, seed=1)
+    eigs = rep.best_params.reshape(2, 4)[:, :2]
+    assert eigs.min() >= 0.0 and eigs.max() <= 1.0
+    value = _functional_value(b1_weights().weights, rep.best_params, 2, 1.0)
+    assert value == rep.best_value
+
+
+def _functional_protocol(f, params, dim, pur):
+    """The state and protocol that attain the functional-search value: the
+    searched effects, "+"/"-" post states on the top eigenvectors of
+    F_(a|x) = sum_by w[a,b,x,y] E_(b|y), and the optimal spectrum in the
+    eigenbasis of G = sum_ax s_(a|x) E_(a|x)."""
+    plus = [_effect_from_params(v, dim) for v in params.reshape(2, -1)]
+    eff = [[e, np.eye(dim) - e] for e in plus]  # eff[x][a] = E_(a|x)
+    posts = [[None, None], [None, None]]
+    g = np.zeros((dim, dim), dtype=complex)
+    for x in range(2):
+        for a in range(2):
+            f_ax = sum(
+                f.weights[a, b, x, y] * eff[y][b] for b in range(2) for y in range(2)
+            )
+            lam, vec = np.linalg.eigh(f_ax)
+            posts[x][a] = DensityMatrix(np.outer(vec[:, -1], vec[:, -1].conj()))
+            g += lam[-1] * eff[x][a]
+    lam, vec = np.linalg.eigh(g)
+    _, q = optimal_spectrum(lam[::-1], pur)
+    basis = vec[:, ::-1]
+    rho = DensityMatrix((basis * q) @ basis.conj().T)
+    meas = [BinaryMeasurement(Effect(plus[x]), *posts[x]) for x in range(2)]
+    return rho, ProtocolPair(*meas)
+
+
+@pytest.mark.parametrize(
+    "f,dim,pur",
+    [(b1_weights(), 2, 0.78125), (_p00_weights(), 2, 1.0), (b1_weights(), 3, 0.6)],
+    ids=["b1-d2", "p00-d2", "b1-d3"],
+)
+def test_functional_search_value_attained_by_explicit_protocol(f, dim, pur):
+    rep = maximize_linear_functional(f, dim, pur, restarts=3, seed=4)
+    rho, protocol = _functional_protocol(f, rep.best_params, dim, pur)
+    assert float(np.trace(rho.matrix @ rho.matrix).real) == pytest.approx(
+        pur, abs=1e-9
+    )
+    value = evaluate_functional(f, correlations(rho, protocol))
+    assert value == pytest.approx(rep.best_value, abs=1e-9)
+
+
 def test_monotonicity_sweep_nondecreasing():
     purities = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     results = monotonicity_sweep(b1_weights(), 2, purities, restarts=15, seed=9)
@@ -307,7 +372,8 @@ def test_lockstep_search_matches_scalar_reference_bitwise(kind):
     lo, hi = _BOXES[kind]
     starts = np.random.default_rng(21).uniform(lo, hi, size=(6, 5))
     best, x, per_start = kernels.multistart_maximize(
-        kind, *_KIND_ARGS[kind], starts, lo, hi, *_SEARCH
+        lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
+        starts, lo, hi, *_SEARCH,
     )
     ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts)
     assert best == ref_best
@@ -321,11 +387,13 @@ def test_lockstep_rows_share_no_state(kind):
     lo, hi = _BOXES[kind]
     starts = np.random.default_rng(4).uniform(lo, hi, size=(12, 5))
     _, _, batch = kernels.multistart_maximize(
-        kind, *_KIND_ARGS[kind], starts, lo, hi, *_SEARCH
+        lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
+        starts, lo, hi, *_SEARCH,
     )
     single = [
         kernels.multistart_maximize(
-            kind, *_KIND_ARGS[kind], s[None], lo, hi, *_SEARCH
+            lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
+            s[None], lo, hi, *_SEARCH,
         )[2][0]
         for s in starts
     ]
@@ -347,6 +415,17 @@ def test_objectives_broadcast_like_scalar_calls():
     )
     np.testing.assert_array_equal(qubit, kernels._objective(0, pts, 0.6, 0.8))
     np.testing.assert_array_equal(qudit, kernels._objective(1, pts, 3.0, 0.0))
+    # the general-functional objective: eigenvalue entries outside [0, 1]
+    # exercise its clipping
+    weights = np.random.default_rng(6).normal(size=(2, 2, 2, 2))
+    for dim, npar in ((2, 4), (3, 12)):
+        pts = np.random.default_rng(dim).uniform(-0.5, 1.5, size=(7, 3, 2 * npar))
+        batch = _functional_value(weights, pts, dim, 0.7)
+        assert batch.shape == (7, 3)
+        np.testing.assert_array_equal(
+            batch.ravel(),
+            [_functional_value(weights, x, dim, 0.7) for x in pts.reshape(-1, 2 * npar)],
+        )
 
 
 def test_reported_params_are_feasible_and_reproduce_value():

@@ -71,11 +71,12 @@ def counts_record_from_dict(data: dict) -> CountsRecord:
     if claimed is not None:
         if not isinstance(claimed, (int, float)) or isinstance(claimed, bool):
             raise CountsFormatError("field 'claimed_initial_purity' must be a number")
-        claimed = float(claimed)
+        # compared before conversion: float() overflows on huge integers
         if not 0.5 <= claimed <= 1.0:
             raise CountsFormatError(
                 "field 'claimed_initial_purity' must lie in [0.5, 1]"
             )
+        claimed = float(claimed)
     settings = data.get("settings")
     if not isinstance(settings, list):
         raise CountsFormatError("field 'settings' must be a list of 4 entries")
@@ -124,14 +125,23 @@ def counts_record_from_dict(data: dict) -> CountsRecord:
 
 def ingest_counts(path: str) -> CountsRecord:
     """Load and validate a counts JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CountsFormatError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+        except json.JSONDecodeError as exc:
+            raise CountsFormatError(
+                f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
+                f"{exc.msg}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise CountsFormatError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from exc
+        except RecursionError as exc:
+            raise CountsFormatError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:
+            # e.g. an integer literal longer than Python's int conversion limit
+            raise CountsFormatError(f"{path}: unreadable JSON: {exc}") from exc
     try:
         return counts_record_from_dict(data)
     except CountsFormatError as exc:

@@ -2,13 +2,15 @@
 
 All matrix-valued types validate their defining constraints on construction
 (Hermiticity to 1e-12, unit trace to 1e-12, positivity with 1e-10 slack) and
-are treated as immutable afterwards.  Dimensions never exceed 6, so dense
-Hermitian eigensolvers are used throughout.
+are treated as immutable afterwards, so a validated object is never checked
+again: an effect validates its complement 1 - E once, and a binary
+measurement holds both of its validated effects.  Dimensions never exceed 6,
+so dense Hermitian eigensolvers are used throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +46,8 @@ class DensityMatrix:
         m = _as_square(self.matrix)
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise DomainError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise DomainError("density matrix does not have unit trace within 1e-12")
         if np.linalg.eigvalsh(m).min() < -PSD_SLACK:
             raise DomainError("density matrix has an eigenvalue below -1e-10")
@@ -97,28 +100,34 @@ class Effect:
         return self.matrix.shape[0]
 
     def complement(self) -> "Effect":
-        """The effect of the opposite outcome, 1 - E."""
-        return Effect(np.eye(self.dim) - self.matrix)
+        """The effect of the opposite outcome, 1 - E (built and validated on
+        the first call, then reused)."""
+        comp = self.__dict__.get("_complement")
+        if comp is None:
+            comp = Effect(np.eye(self.dim) - self.matrix)
+            object.__setattr__(self, "_complement", comp)
+        return comp
 
 
 @dataclass(frozen=True)
 class BinaryMeasurement:
     """Measure-and-prepare instrument for a binary (+/-) measurement.
 
-    Holds the "+" effect (the "-" effect is its complement) together with
-    the states re-prepared after each outcome.
+    Holds the "+" effect, the "-" effect (its complement, validated once on
+    construction) and the states re-prepared after each outcome.
     """
 
     effect_plus: Effect
     post_plus: DensityMatrix
     post_minus: DensityMatrix
+    effect_minus: Effect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.effect_plus.dim
         if self.post_plus.dim != d or self.post_minus.dim != d:
             raise DimensionError("effect and post-measurement states must share dim")
         # raises if 1 - E_+ fails the effect constraints
-        self.effect_plus.complement()
+        object.__setattr__(self, "effect_minus", self.effect_plus.complement())
 
     @property
     def dim(self) -> int:
@@ -128,7 +137,7 @@ class BinaryMeasurement:
         if outcome == "+":
             return self.effect_plus
         if outcome == "-":
-            return self.effect_plus.complement()
+            return self.effect_minus
         raise DomainError(f"unknown outcome {outcome!r}")
 
     def post_state(self, outcome: str) -> DensityMatrix:
@@ -151,7 +160,7 @@ def purity(rho: DensityMatrix) -> float:
 def bloch_to_density(state: BlochState) -> DensityMatrix:
     """rho = (1 + p alpha.sigma) / 2."""
     vec = state.length * state.direction
-    m = 0.5 * (np.eye(2, dtype=complex) + np.tensordot(vec, PAULI, axes=1))
+    m = 0.5 * (np.eye(2, dtype=complex) + (vec @ PAULI.reshape(3, 4)).reshape(2, 2))
     return DensityMatrix(m)
 
 

@@ -3,13 +3,18 @@
 Correlations follow the measure-and-prepare rule
 p(ab|xy) = tr(E_{a|x} rho_in) * tr(E_{b|y} rho_{a|x}),
 where rho_{a|x} is the state re-prepared by measurement x after outcome a.
-Probability-zero first-step branches simply contribute 0; no conditional
-probability is ever formed by division.
+A protocol stores its effects E_{a|x} and post states rho_{a|x} as stacked,
+read-only (2, 2, d, d) arrays indexed [setting, outcome], built once from
+measurements that were validated on construction, so a simulation validates
+nothing but the resulting table and computes all 16 probabilities with two
+stacked matrix products.  Probability-zero first-step branches simply
+contribute 0; no conditional probability is ever formed by division.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +33,26 @@ _IDX = {"+": 0, "-": 1}
 
 @dataclass(frozen=True)
 class ProtocolPair:
-    """The two binary measurements, reused at both time steps."""
+    """The two binary measurements, reused at both time steps.
+
+    ``effects[x, a]`` and ``posts[x, a]`` hold E_{a|x} and rho_{a|x} as
+    read-only (2, 2, d, d) arrays, with "+" = 0 and "-" = 1.
+    """
 
     meas0: BinaryMeasurement
     meas1: BinaryMeasurement
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
+    posts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.meas0.dim != self.meas1.dim:
             raise DimensionError("both measurements must share the same dimension")
+        pairs = (self.meas0, self.meas1)
+        effects = np.array([[m.effect(a).matrix for a in OUTCOMES] for m in pairs])
+        posts = np.array([[m.post_state(a).matrix for a in OUTCOMES] for m in pairs])
+        for name, arr in (("effects", effects), ("posts", posts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -106,22 +123,17 @@ def correlations(rho_in: DensityMatrix, protocol: ProtocolPair) -> CorrelationTa
     """Simulate all 16 two-step probabilities for a state and protocol."""
     if rho_in.dim != protocol.dim:
         raise DimensionError("state and protocol dimensions differ")
-    t = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        mx = protocol.measurement(x)
-        for a in OUTCOMES:
-            p_first = float(np.trace(mx.effect(a).matrix @ rho_in.matrix).real)
-            p_first = min(max(p_first, 0.0), 1.0)
-            post = mx.post_state(a)
-            for y in (0, 1):
-                my = protocol.measurement(y)
-                for b in OUTCOMES:
-                    p_second = float(
-                        np.trace(my.effect(b).matrix @ post.matrix).real
-                    )
-                    p_second = min(max(p_second, 0.0), 1.0)
-                    t[_IDX[a], _IDX[b], x, y] = p_first * p_second
-    return CorrelationTable(t)
+    effects = protocol.effects
+    # first[x, a] = tr(E_{a|x} rho_in); second[x, a, y, b] = tr(E_{b|y} rho_{a|x})
+    first = _traces(effects @ rho_in.matrix)
+    second = _traces(effects @ protocol.posts[:, :, None, None])
+    t = first[:, :, None, None] * second
+    return CorrelationTable(np.ascontiguousarray(t.transpose(1, 3, 0, 2)))
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of a stack of matrices, clipped to [0, 1]."""
+    return np.clip(np.trace(stack, axis1=-2, axis2=-1).real, 0.0, 1.0)
 
 
 def b1(table: CorrelationTable) -> float:
@@ -144,6 +156,18 @@ def _basis_projector(dim: int, k: int) -> np.ndarray:
     return m
 
 
+_UP = np.array([0.0, 0.0, 1.0])
+_DOWN = np.array([0.0, 0.0, -1.0])
+
+
+@functools.cache
+def _theorem2_parts() -> tuple[Effect, Effect, DensityMatrix]:
+    """The parts of the theorem 2 protocol that depend on neither p nor w,
+    validated on the first call (not at import, so that processes which
+    never simulate never run an eigensolver)."""
+    return Effect(np.eye(2, dtype=complex)), Effect(_basis_projector(2, 0)), _maximally_mixed(2)
+
+
 def theorem2_protocol(p: float, w: float) -> tuple[DensityMatrix, ProtocolPair]:
     """Canonical qubit protocol attaining the constrained-purity maximum.
 
@@ -154,21 +178,15 @@ def theorem2_protocol(p: float, w: float) -> tuple[DensityMatrix, ProtocolPair]:
     """
     if not (0.0 <= p <= 1.0 and 0.0 <= w <= 1.0):
         raise DomainError("p and w must lie in [0, 1]")
-    up = np.array([0.0, 0.0, 1.0])
-    down = np.array([0.0, 0.0, -1.0])
-    rho_in = bloch_to_density(BlochState(p, up))
+    effect_one, effect_up, half = _theorem2_parts()
+    rho_in = bloch_to_density(BlochState(p, _UP))
     meas0 = BinaryMeasurement(
-        effect_plus=Effect(np.eye(2, dtype=complex)),
-        post_plus=bloch_to_density(BlochState(w, down)),
-        post_minus=_maximally_mixed(2),
+        effect_plus=effect_one,
+        post_plus=bloch_to_density(BlochState(w, _DOWN)),
+        post_minus=half,
     )
-    proj_plus = 0.5 * (np.eye(2, dtype=complex) + np.array([[1, 0], [0, -1]]))
-    post1 = bloch_to_density(BlochState(w, up))
-    meas1 = BinaryMeasurement(
-        effect_plus=Effect(proj_plus),
-        post_plus=post1,
-        post_minus=post1,
-    )
+    post1 = bloch_to_density(BlochState(w, _UP))
+    meas1 = BinaryMeasurement(effect_plus=effect_up, post_plus=post1, post_minus=post1)
     return rho_in, ProtocolPair(meas0, meas1)
 
 

@@ -248,6 +248,22 @@ def test_cli_certify_validation_exit_code(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_certify_undecodable_counts_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["certify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
+
+def test_cli_certify_deeply_nested_counts_file(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["certify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(deep) in err and "nested" in err
+
+
 def test_cli_certify_qubit_assumption_exit_code(tmp_path, capsys):
     data = _valid_dict(n=10**9)
     for entry in data["settings"]:

@@ -150,12 +150,10 @@ def test_qutrit_protocol_on_maximally_mixed_input():
     assert val <= 3.0
 
 
-def test_qutrit_ceiling_over_random_protocols_on_maximally_mixed_input():
-    # on I/3 no qutrit protocol exceeds max(3 - 1/3, 4(1 - 1/3)) = 8/3; about
-    # half of the samples re-prepare the best "+" states for their effects (top
-    # eigenvectors of +-(E_{+|0} - E_{+|1})), which reach that value
-    rng = np.random.default_rng(31)
-    rho = DensityMatrix(np.eye(3) / 3)
+def _random_qutrit_protocol(rng) -> ProtocolPair:
+    """Random qutrit effects (half of them projective); about half of the
+    samples re-prepare the best "+" states for their effects (top
+    eigenvectors of +-(E_{+|0} - E_{+|1}))."""
 
     def effect_matrix():
         u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -168,21 +166,105 @@ def test_qutrit_ceiling_over_random_protocols_on_maximally_mixed_input():
     def random_post():
         return random_density(3, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)))
 
-    vals = []
-    for _ in range(300):
-        e0, e1 = effect_matrix(), effect_matrix()
-        posts = [random_post(), random_post()]
-        if rng.random() < 0.5:
-            _, vecs = np.linalg.eigh(e0 - e1)
-            posts = [DensityMatrix(np.outer(v, v.conj())) for v in (vecs[:, -1], vecs[:, 0])]
-        protocol = ProtocolPair(
-            BinaryMeasurement(Effect(e0), posts[0], random_post()),
-            BinaryMeasurement(Effect(e1), posts[1], random_post()),
-        )
-        vals.append(b1(correlations(rho, protocol)))
+    e0, e1 = effect_matrix(), effect_matrix()
+    posts = [random_post(), random_post()]
+    if rng.random() < 0.5:
+        _, vecs = np.linalg.eigh(e0 - e1)
+        posts = [DensityMatrix(np.outer(v, v.conj())) for v in (vecs[:, -1], vecs[:, 0])]
+    return ProtocolPair(
+        BinaryMeasurement(Effect(e0), posts[0], random_post()),
+        BinaryMeasurement(Effect(e1), posts[1], random_post()),
+    )
+
+
+def test_qutrit_ceiling_over_random_protocols_on_maximally_mixed_input():
+    # on I/3 no qutrit protocol exceeds max(3 - 1/3, 4(1 - 1/3)) = 8/3; the
+    # samples that re-prepare the best "+" states reach that value
+    rng = np.random.default_rng(31)
+    rho = DensityMatrix(np.eye(3) / 3)
+    vals = [b1(correlations(rho, _random_qutrit_protocol(rng))) for _ in range(300)]
     assert max(vals) <= 8.0 / 3.0 + 1e-12
     assert max(vals) >= 8.0 / 3.0 - 1e-9
     assert min(vals) >= 0.0
+
+
+def _reference_table(rho_in, protocol) -> np.ndarray:
+    """The per-entry simulation loop: one trace per probability."""
+    t = np.empty((2, 2, 2, 2))
+    for x in (0, 1):
+        mx = protocol.measurement(x)
+        for i, a in enumerate("+-"):
+            p_first = float(np.trace(mx.effect(a).matrix @ rho_in.matrix).real)
+            p_first = min(max(p_first, 0.0), 1.0)
+            post = mx.post_state(a)
+            for y in (0, 1):
+                my = protocol.measurement(y)
+                for j, b_ in enumerate("+-"):
+                    p_second = float(np.trace(my.effect(b_).matrix @ post.matrix).real)
+                    p_second = min(max(p_second, 0.0), 1.0)
+                    t[i, j, x, y] = p_first * p_second
+    return t
+
+
+def test_contraction_matches_per_entry_loop_bitwise():
+    rng = np.random.default_rng(41)
+    cases = []
+    for k in range(200):
+        rho = random_density(2, int(rng.integers(1, 3)), k)
+        cases.append((rho, random_qubit_protocol(rng)))
+    for _ in range(100):
+        rho = random_density(3, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)))
+        protocol = _random_qutrit_protocol(rng)
+        cases += [(rho, protocol), (DensityMatrix(np.eye(3) / 3), protocol)]
+    cases.append(qutrit_value4_protocol())
+    cases += [qudit_maxmixed_protocol(d) for d in (4, 5, 8)]
+    cases += [theorem2_protocol(p, w) for p in (0.0, 0.3, 1.0) for w in (0.0, 0.7, 1.0)]
+    for rho, protocol in cases:
+        assert np.array_equal(correlations(rho, protocol).probs, _reference_table(rho, protocol))
+
+
+def test_simulation_does_not_revalidate(monkeypatch):
+    theorem2_protocol(0.5, 0.5)  # validates the p- and w-independent parts
+    calls = []
+    for cls in (Effect, DensityMatrix):
+        def counted(self, _validate=cls.__post_init__):
+            calls.append(type(self).__name__)
+            _validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    rho, protocol = theorem2_protocol(0.3, 0.7)
+    assert len(calls) <= 3  # the input and the two re-prepared states
+    calls.clear()
+    correlations(rho, protocol)
+    assert calls == []
+    rho, protocol = qutrit_value4_protocol()
+    calls.clear()
+    correlations(rho, protocol)
+    assert calls == []
+
+
+def test_measurement_holds_its_validated_minus_effect():
+    _, protocol = theorem2_protocol(0.5, 0.5)
+    rng = np.random.default_rng(3)
+    for m in (protocol.meas0, protocol.meas1, random_qubit_protocol(rng).meas0):
+        assert m.effect("-") is m.effect("-")
+        assert m.effect("-") is m.effect_plus.complement()
+        np.testing.assert_array_equal(
+            m.effect("-").matrix, np.eye(2) - m.effect_plus.matrix
+        )
+
+
+def test_protocol_arrays_are_read_only_stacks():
+    _, protocol = qutrit_value4_protocol()
+    for arr, get in ((protocol.effects, "effect"), (protocol.posts, "post_state")):
+        assert arr.shape == (2, 2, 3, 3)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 0.0
+        for x in (0, 1):
+            for i, a in enumerate("+-"):
+                m = getattr(protocol.measurement(x), get)(a).matrix
+                np.testing.assert_array_equal(arr[x, i], m)
 
 
 @pytest.mark.parametrize("d,expected", [(4, 3.0), (5, 3.2), (8, 3.5)])

@@ -42,7 +42,6 @@ from .witness import (  # noqa: F401
 from .optimizer import (  # noqa: F401
     OptimizationReport,
     QubitEffectParams,
-    QuditEffectParams,
     maximize_b1_qubit,
     maximize_b1_qudit_maxmixed,
     maximize_linear_functional,

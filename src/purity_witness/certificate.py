@@ -45,13 +45,7 @@ class WitnessCertificate:
 
     def to_json_dict(self) -> dict:
         def pb(bound: Optional[PurityBound]):
-            if bound is None:
-                return None
-            return {
-                "purity_lower": bound.purity_lower,
-                "bloch_lower": bound.bloch_lower,
-                "trivial": bound.trivial,
-            }
+            return None if bound is None else bound.to_dict()
 
         def cb(bound: ConcurrenceBound):
             return {

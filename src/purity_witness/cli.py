@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .certificate import certify
-from .counts import CountsRecord, ingest_counts
+from .counts import MAX_COUNT, CountsRecord, ingest_counts
 from .errors import (
     ConsistencyError,
     CountsFormatError,
@@ -55,14 +55,20 @@ EXIT_QUBIT_ASSUMPTION = 3
 EXIT_GAP = 4
 
 
-def _default_seed() -> int:
-    env = os.environ.get("PURITY_WITNESS_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise DomainError(f"PURITY_WITNESS_SEED must be an integer, got {env!r}") from exc
+def _seed(args) -> int:
+    """--seed, else PURITY_WITNESS_SEED, else 0; never negative."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("PURITY_WITNESS_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise DomainError(
+                f"PURITY_WITNESS_SEED must be an integer, got {env!r}"
+            ) from exc
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -81,7 +87,7 @@ def _cmd_certify(args) -> int:
 
 
 def _simulated_record(args) -> CountsRecord:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.protocol == "theorem2":
         rho, protocol = theorem2_protocol(args.p, args.w)
         label = f"theorem2 p={args.p} w={args.w}"
@@ -91,8 +97,8 @@ def _simulated_record(args) -> CountsRecord:
     else:
         rho, protocol = qudit_maxmixed_protocol(args.d)
         label = f"quditmm d={args.d}"
-    if args.shots < 1:
-        raise DomainError("shots must be >= 1")
+    if not 1 <= args.shots <= MAX_COUNT:
+        raise DomainError(f"shots must lie in [1, {MAX_COUNT}] (2**63 - 1)")
     table = correlations(rho, protocol)
     rng = np.random.default_rng(seed)
     counts = {}
@@ -140,17 +146,15 @@ def _report_line(report, extra=None) -> str:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     worst_gap = 0.0
     tol = QUBIT_GAP_TOL
-    if args.subject == "eq5":
-        for p in np.linspace(0.0, 1.0, 11):
-            rep = maximize_b1_qubit(float(p), 1.0, restarts=args.restarts, seed=seed)
-            print(_report_line(rep, {"p": float(p), "w": 1.0}))
-            worst_gap = max(worst_gap, abs(rep.gap))
-    elif args.subject == "theorem2":
-        points = [(args.p, args.w)]
-        if args.grid is not None:
+    if args.subject in ("eq5", "theorem2"):
+        if args.subject == "eq5":
+            points = [(float(p), 1.0) for p in np.linspace(0.0, 1.0, 11)]
+        elif args.grid is None:
+            points = [(args.p, args.w)]
+        else:
             if args.grid < 2:
                 raise DomainError("theorem2 --grid requires at least 2 steps per axis")
             axis = np.linspace(0.0, 1.0, args.grid)
@@ -192,19 +196,10 @@ def _cmd_bounds(args) -> int:
     out = {}
     if args.b1 is not None and args.purity is not None:
         bound = postmeasurement_purity_bound(args.b1, args.purity)
-        out["postmeasurement_purity_bound"] = {
-            "purity_lower": bound.purity_lower,
-            "bloch_lower": bound.bloch_lower,
-            "trivial": bound.trivial,
-        }
+        out["postmeasurement_purity_bound"] = bound.to_dict()
     elif args.b1 is not None:
-        pb = purity_lower_bound(args.b1)
+        out["purity_lower_bound"] = purity_lower_bound(args.b1).to_dict()
         cb = concurrence_upper_from_b1(args.b1)
-        out["purity_lower_bound"] = {
-            "purity_lower": pb.purity_lower,
-            "bloch_lower": pb.bloch_lower,
-            "trivial": pb.trivial,
-        }
         out["concurrence_upper"] = {"upper": cb.upper, "trivial": cb.trivial}
     elif args.p is not None and args.w is not None:
         out["b1_max_constrained"] = b1_max_constrained(args.p, args.w)

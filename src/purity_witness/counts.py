@@ -23,6 +23,11 @@ import numpy as np
 from .errors import CountsFormatError, DomainError
 from .sequence import CorrelationTable
 
+# Largest count a counts file or ``simulate --shots`` may hold: the int64
+# range, which numpy's multinomial sampler also accepts.  Counts near 1e308
+# would overflow the float conversion in hoeffding_width.
+MAX_COUNT = 2**63 - 1
+
 OUTCOME_KEYS = ("++", "+-", "-+", "--")
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -108,6 +113,10 @@ def counts_record_from_dict(data: dict) -> CountsRecord:
                 raise CountsFormatError(
                     f"settings[{k}]: counts['{key}'] must be a non-negative integer"
                 )
+            if val > MAX_COUNT:
+                raise CountsFormatError(
+                    f"settings[{k}]: counts['{key}'] exceeds {MAX_COUNT} (2**63 - 1)"
+                )
             counts[key] = val
         extra = set(raw) - set(OUTCOME_KEYS)
         if extra:
@@ -148,10 +157,17 @@ def ingest_counts(path: str) -> CountsRecord:
         raise CountsFormatError(f"{path}: {exc}") from exc
 
 
-def hoeffding_width(n: int, delta: float) -> float:
-    """Per-setting half width sqrt(ln(8/delta) / (2 n))."""
+def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
+    # below about 4.45e-308, 8/delta overflows and every width is infinite
+    if math.isinf(8.0 / delta):
+        raise DomainError(f"delta {delta!r} is too small: 8/delta overflows")
+
+
+def hoeffding_width(n: int, delta: float) -> float:
+    """Per-setting half width sqrt(ln(8/delta) / (2 n))."""
+    _check_delta(delta)
     if n < 1:
         raise DomainError("n must be >= 1")
     return math.sqrt(math.log(8.0 / delta) / (2.0 * n))
@@ -159,8 +175,7 @@ def hoeffding_width(n: int, delta: float) -> float:
 
 def estimate_b1(rec: CountsRecord, delta: float) -> tuple[float, float]:
     """Point estimate of B1 and its one-sided lower confidence value."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    _check_delta(delta)
     b1_hat = (
         rec.empirical_prob("++", 0, 0)
         + rec.empirical_prob("++", 1, 1)

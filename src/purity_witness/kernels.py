@@ -92,24 +92,6 @@ def _objective(kind, params, arg0, arg1):
     return p_plus0 * (1.0 + a0 - a1 + m) + p_plus1 * (1.0 + a1 - a0 + m)
 
 
-def b1_qubit_bloch_batch(r0, q0, v0, r1, q1, v1, t_in, t0, t1):
-    """Vectorized B1 for batches of qubit protocols in Bloch form.
-
-    Effects E_+|x = r_x 1 + q_x v_x.sigma; t_in, t0, t1 are the (length-
-    scaled) Bloch vectors of the initial state and the "+" post states of
-    measurements 0 and 1.  All arguments broadcast; vectors have a trailing
-    axis of size 3.
-    """
-    g0 = q0[..., None] * v0
-    g1 = q1[..., None] * v1
-    diff = g0 - g1
-    p_plus0 = np.clip(r0 + (g0 * t_in).sum(-1), 0.0, 1.0)
-    p_plus1 = np.clip(r1 + (g1 * t_in).sum(-1), 0.0, 1.0)
-    term0 = 1.0 + r0 - r1 + (diff * t0).sum(-1)
-    term1 = 1.0 + r1 - r0 - (diff * t1).sum(-1)
-    return p_plus0 * term0 + p_plus1 * term1
-
-
 def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
     """Maximize objective from every row of x0; [lo, hi] sizes the simplex.
 

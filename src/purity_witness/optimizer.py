@@ -4,10 +4,11 @@ Every closed form has an independent numeric route here: multistart
 Nelder-Mead over the effect parametrizations, with states supplied by the
 analytically optimal construction (qubit case) or by exact inner
 maximization (general linear functionals).  All three searches (qubit,
-maximally mixed qudit, general functional) run on the one lockstep engine,
-``kernels.multistart_maximize``, with objectives that broadcast over the
-population.  Search values must never exceed the closed forms; attaining
-them within tolerance is the verification.
+maximally mixed qudit, general functional) go through one driver,
+``_search``, which runs the lockstep engine ``kernels.multistart_maximize``
+with objectives that broadcast over the population.  Search values must
+never exceed the closed forms; attaining them within tolerance is the
+verification.
 """
 
 from __future__ import annotations
@@ -65,45 +66,6 @@ class QubitEffectParams:
         m = self.r * np.eye(2, dtype=complex) + self.q * np.tensordot(
             self.v, PAULI, axes=1
         )
-        return Effect(m)
-
-
-@dataclass(frozen=True)
-class QuditEffectParams:
-    """E_+ = a (1_2 + b c.sigma) (+) 1_(d-2) on a d-dimensional space.
-
-    The boundary a = 1/(1+b) is the family whose "-" effect is proportional
-    to a rank-one projector, E_- = (u/2)(1_2 - c.sigma) with u = 1 - a(1-b).
-    """
-
-    a: float
-    b: float
-    c: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (3,) or abs(c @ c - 1.0) > 1e-12:
-            raise DomainError("c must be a unit 3-vector")
-        if not 0.0 <= self.b <= 1.0:
-            raise DomainError("b must lie in [0, 1]")
-        if not 0.0 <= self.a <= 1.0 / (1.0 + self.b) + 1e-15:
-            raise DomainError("a must lie in [0, 1/(1+b)]")
-        if self.dim < 2:
-            raise DimensionError("dim must be at least 2")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def u(self) -> float:
-        return 1.0 - self.a * (1.0 - self.b)
-
-    def to_effect(self) -> Effect:
-        block = self.a * (
-            np.eye(2, dtype=complex) + self.b * np.tensordot(self.c, PAULI, axes=1)
-        )
-        m = np.eye(self.dim, dtype=complex)
-        m[:2, :2] = block
         return Effect(m)
 
 
@@ -195,8 +157,24 @@ def params_to_protocol(
     return bloch_to_density(init), ProtocolPair(meas0, meas1)
 
 
-def _starts(rng: np.random.Generator, restarts: int, lo, hi) -> np.ndarray:
-    return rng.uniform(lo, hi, size=(restarts, lo.shape[0]))
+def _search(objective, lo, hi, maxiter, restarts, seed, closed, project):
+    """Run the lockstep multistart search from ``restarts`` uniform starts in
+    [lo, hi] drawn with ``seed``; report ``project`` of the best point
+    against the closed form (if any)."""
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
+    starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, lo.shape[0]))
+    best, params, _ = kernels.multistart_maximize(
+        objective, starts, lo, hi, maxiter, 1e-12, 1e-10
+    )
+    return OptimizationReport(
+        best_value=float(best),
+        best_params=project(params),
+        closed_form=closed,
+        gap=None if closed is None else closed - float(best),
+        restarts=restarts,
+        seed=seed,
+    )
 
 
 def maximize_b1_qubit(
@@ -205,22 +183,10 @@ def maximize_b1_qubit(
     """Multistart search for the qubit maximum of B1 at fixed (p, w)."""
     if not (0.0 <= p <= 1.0 and 0.0 <= w <= 1.0):
         raise DomainError("p and w must lie in [0, 1]")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    starts = _starts(rng, restarts, _QUBIT_LO, _QUBIT_HI)
-    best, params, _ = kernels.multistart_maximize(
+    return _search(
         lambda x: kernels._objective(0, x, p, w),
-        starts, _QUBIT_LO, _QUBIT_HI, 4000, 1e-12, 1e-10,
-    )
-    closed = b1_max_constrained(p, w)
-    return OptimizationReport(
-        best_value=float(best),
-        best_params=kernels.project(0, params),
-        closed_form=closed,
-        gap=closed - float(best),
-        restarts=restarts,
-        seed=seed,
+        _QUBIT_LO, _QUBIT_HI, 4000, restarts, seed,
+        b1_max_constrained(p, w), lambda x: kernels.project(0, x),
     )
 
 
@@ -237,22 +203,10 @@ def maximize_b1_qudit_maxmixed(
     """
     if d not in (3, 4, 5, 6):
         raise DomainError("d must be one of 3, 4, 5, 6")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    starts = _starts(rng, restarts, _QUDIT_LO, _QUDIT_HI)
-    best, params, _ = kernels.multistart_maximize(
+    return _search(
         lambda x: kernels._objective(1, x, float(d), 0.0),
-        starts, _QUDIT_LO, _QUDIT_HI, 4000, 1e-12, 1e-10,
-    )
-    closed = max(3.0, 4.0 * (1.0 - 1.0 / d))
-    return OptimizationReport(
-        best_value=float(best),
-        best_params=kernels.project(1, params),
-        closed_form=closed,
-        gap=closed - float(best),
-        restarts=restarts,
-        seed=seed,
+        _QUDIT_LO, _QUDIT_HI, 4000, restarts, seed,
+        max(3.0, 4.0 * (1.0 - 1.0 / d)), lambda x: kernels.project(1, x),
     )
 
 
@@ -386,31 +340,19 @@ def maximize_linear_functional(
         raise DimensionError("dim must be 2 or 3")
     if not 1.0 / dim - 1e-12 <= purity <= 1.0 + 1e-12:
         raise DomainError("purity must lie in [1/dim, 1]")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
     pur = min(max(purity, 1.0 / dim), 1.0)
     npar = _n_effect_params(dim)
     weights = f.weights
     # eigenvalue entries start in [0, 1], angles in [-pi, pi]
     eig = np.arange(2 * npar) % npar < dim
-    lo = np.where(eig, 0.0, -math.pi)
-    hi = np.where(eig, 1.0, math.pi)
-    rng = np.random.default_rng(seed)
-    starts = _starts(rng, restarts, lo, hi)
-    best, params, _ = kernels.multistart_maximize(
-        lambda v: _functional_value(weights, v, dim, pur),
-        starts, lo, hi, 8000, 1e-12, 1e-10,
-    )
     closed = None
     if dim == 2 and np.array_equal(weights, b1_weights().weights):
         closed = b1_max_initial(math.sqrt(2.0 * pur - 1.0))
-    return OptimizationReport(
-        best_value=float(best),
-        best_params=np.where(eig, np.clip(params, 0.0, 1.0), params),
-        closed_form=closed,
-        gap=None if closed is None else closed - float(best),
-        restarts=restarts,
-        seed=seed,
+    return _search(
+        lambda v: _functional_value(weights, v, dim, pur),
+        np.where(eig, 0.0, -math.pi), np.where(eig, 1.0, math.pi), 8000,
+        restarts, seed, closed,
+        lambda v: np.where(eig, np.clip(v, 0.0, 1.0), v),
     )
 
 
@@ -429,39 +371,3 @@ def monotonicity_sweep(
         (pur, maximize_linear_functional(f, dim, pur, restarts, seed).best_value)
         for pur in purs
     ]
-
-
-# ---------------------------------------------------------------------------
-# Random protocol sampling (constraint-preserving), used by property tests
-# ---------------------------------------------------------------------------
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-    return v / n
-
-
-def random_qubit_effect_params(rng: np.random.Generator) -> QubitEffectParams:
-    q = rng.uniform(0.0, 0.5)
-    r = rng.uniform(q, 1.0 - q)
-    return QubitEffectParams(r, q, random_unit_vector(rng))
-
-
-def random_qubit_measurement(rng: np.random.Generator) -> BinaryMeasurement:
-    from .quantum import random_density
-
-    eff = random_qubit_effect_params(rng).to_effect()
-    seed_a, seed_b = rng.integers(0, 2**31, size=2)
-    return BinaryMeasurement(
-        eff,
-        random_density(2, int(rng.integers(1, 3)), int(seed_a)),
-        random_density(2, int(rng.integers(1, 3)), int(seed_b)),
-    )
-
-
-def random_qubit_protocol(rng: np.random.Generator) -> ProtocolPair:
-    return ProtocolPair(random_qubit_measurement(rng), random_qubit_measurement(rng))

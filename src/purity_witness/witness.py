@@ -39,6 +39,13 @@ class PurityBound:
         if abs(self.purity_lower - 0.5 * (1.0 + self.bloch_lower**2)) > 1e-12:
             raise DomainError("purity_lower must equal (1 + bloch_lower^2)/2")
 
+    def to_dict(self) -> dict:
+        return {
+            "purity_lower": self.purity_lower,
+            "bloch_lower": self.bloch_lower,
+            "trivial": self.trivial,
+        }
+
 
 @dataclass(frozen=True)
 class ConcurrenceBound:

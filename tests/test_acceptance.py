@@ -19,7 +19,6 @@ from purity_witness.optimizer import (
     maximize_b1_qubit,
     maximize_b1_qudit_maxmixed,
     monotonicity_sweep,
-    random_qubit_protocol,
 )
 from purity_witness.quantum import (
     DensityMatrix,
@@ -45,6 +44,8 @@ from purity_witness.witness import (
     postmeasurement_purity_bound,
     robustness_penalty,
 )
+
+from protocols import random_qubit_protocol
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 from purity_witness.certificate import certify
 from purity_witness.cli import main
 from purity_witness.counts import (
+    MAX_COUNT,
     CountsRecord,
     counts_record_from_dict,
     estimate_b1,
@@ -264,6 +265,43 @@ def test_cli_certify_deeply_nested_counts_file(tmp_path, capsys):
     assert err.startswith("error:") and str(deep) in err and "nested" in err
 
 
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_cli_certify_rejects_count_above_int64(tmp_path, capsys):
+    # 2.0 * n in hoeffding_width used to raise OverflowError on such a count
+    data = _valid_dict()
+    data["settings"][2]["counts"]["++"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_COUNT) in err
+
+
+def test_cli_certify_count_at_int64_limit_is_finite(tmp_path, capsys):
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(_valid_dict(n=MAX_COUNT)))
+    assert main(["certify", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert cert["b1_hat"] == 2.0
+    assert 1.9 < cert["b1_lower_conf"] < 2.0
+
+
+def test_cli_certify_smallest_deltas(tmp_path, capsys):
+    # below about 4.45e-308, 8/delta overflows: b1_lower_conf used to be
+    # written as -Infinity with exit 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_valid_dict()))
+    assert main(["certify", str(path), "--delta", "5e-308"]) == 0
+    cert = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert cert["confidence_delta"] == 5e-308
+    assert main(["certify", str(path), "--delta", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "delta" in captured.err
+
+
 def test_cli_certify_qubit_assumption_exit_code(tmp_path, capsys):
     data = _valid_dict(n=10**9)
     for entry in data["settings"]:
@@ -373,11 +411,35 @@ def test_cli_verify_monotonicity(capsys):
         assert rep["best_value"] == pytest.approx(rep["closed_form"], abs=1e-5)
 
 
+def test_cli_verify_eq5(capsys):
+    rc = main(["verify", "eq5", "--restarts", "20", "--seed", "1"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 0
+    assert len(lines) == 11
+    for k, line in enumerate(lines):
+        rep = json.loads(line)
+        assert rep["p"] == pytest.approx(k / 10, abs=1e-15)
+        assert rep["w"] == 1.0
+        assert abs(rep["gap"]) <= 1e-6
+        assert rep["strategy"] == "projective-pair"
+
+
 def test_cli_simulate_validation(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert main(["simulate", "theorem2", "--shots", "0", "-o", str(out)]) == 2
     assert main(["simulate", "theorem2", "--p", "1.5", "-o", str(out)]) == 2
     assert main(["simulate", "quditmm", "--d", "3", "-o", str(out)]) == 2
+
+
+def test_cli_simulate_shots_int64_limit(tmp_path, capsys):
+    # numpy's multinomial sampler accepts exactly up to 2**63 - 1 shots
+    out = tmp_path / "c.json"
+    for shots in (str(MAX_COUNT + 1), "100000000000000000000"):
+        assert main(["simulate", "theorem2", "--shots", shots, "-o", str(out)]) == 2
+        assert "shots" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "theorem2", "--shots", str(MAX_COUNT), "-o", str(out)]) == 0
+    assert ingest_counts(str(out)).total(0, 0) == MAX_COUNT
 
 
 def test_cli_simulated_purity_claim_matches_protocol(tmp_path):
@@ -413,3 +475,24 @@ def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     assert p1.read_text() == p2.read_text()
     monkeypatch.setenv("PURITY_WITNESS_SEED", "abc")
     assert main(["simulate", "theorem2", "--shots", "200", "-o", str(p1)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "theorem2", "--shots", "10"],
+        ["verify", "theorem2", "--restarts", "1"],
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cli_rejects_negative_seed(argv, source, tmp_path, monkeypatch, capsys):
+    argv = list(argv)
+    if argv[0] == "simulate":
+        argv += ["-o", str(tmp_path / "c.json")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("PURITY_WITNESS_SEED", "-1")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed" in captured.err

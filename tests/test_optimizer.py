@@ -13,7 +13,6 @@ from purity_witness.optimizer import (
     SOUNDNESS_TOL,
     OptimizationReport,
     QubitEffectParams,
-    QuditEffectParams,
     maximize_b1_qubit,
     maximize_b1_qudit_maxmixed,
     maximize_linear_functional,
@@ -48,18 +47,6 @@ def test_qubit_effect_params_effect_eigenvalues():
     eff = QubitEffectParams(0.6, 0.3, np.array([1.0, 0.0, 0.0])).to_effect()
     eigs = np.linalg.eigvalsh(eff.matrix)
     np.testing.assert_allclose(eigs, [0.3, 0.9], atol=1e-12)
-
-
-def test_qudit_effect_params_validation_and_shape():
-    par = QuditEffectParams(0.5, 1.0, np.array([0.0, 0.0, 1.0]), 4)
-    assert par.u == pytest.approx(1.0, abs=1e-15)
-    m = par.to_effect().matrix
-    assert m.shape == (4, 4)
-    np.testing.assert_allclose(np.diag(m).real, [1.0, 0.0, 1.0, 1.0], atol=1e-12)
-    with pytest.raises(DomainError):
-        QuditEffectParams(0.8, 1.0, np.array([0.0, 0.0, 1.0]), 4)  # a > 1/(1+b)
-    with pytest.raises(DimensionError):
-        QuditEffectParams(0.5, 0.5, np.array([0.0, 0.0, 1.0]), 1)
 
 
 def test_report_rejects_unsound_value():

@@ -13,31 +13,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .certificate import certify
-from .counts import MAX_COUNT, CountsRecord, ingest_counts
+from .counts import MAX_COUNT, OUTCOME_KEYS, SETTING_PAIRS, CountsRecord, ingest_counts
 from .errors import (
     ConsistencyError,
     CountsFormatError,
     DimensionError,
     DomainError,
     QubitAssumptionError,
-)
-from .optimizer import (
-    QUBIT_GAP_TOL,
-    QUDIT_GAP_TOL,
-    maximize_b1_qubit,
-    maximize_b1_qudit_maxmixed,
-    monotonicity_sweep,
-)
-from .sequence import (
-    b1_weights,
-    correlations,
-    qudit_maxmixed_protocol,
-    qutrit_value4_protocol,
-    theorem2_protocol,
 )
 from .witness import (
     b1_max_constrained,
@@ -47,12 +31,23 @@ from .witness import (
     postmeasurement_purity_bound,
     purity_lower_bound,
 )
-from .quantum import purity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_QUBIT_ASSUMPTION = 3
 EXIT_GAP = 4
+# simulate quditmm validates d x d matrices: O(d^3) time, O(d^2) memory
+MAX_SIMULATED_DIM = 256
+
+
+def __getattr__(name):
+    # Only for the benchmark's tracer (perfbench/tracing.py), which wraps these
+    # two names on ``cli``; the handlers look them up on ``sequence`` instead.
+    if name in ("theorem2_protocol", "correlations"):
+        from . import sequence
+
+        return getattr(sequence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _seed(args) -> int:
@@ -87,54 +82,51 @@ def _cmd_certify(args) -> int:
 
 
 def _simulated_record(args) -> CountsRecord:
+    import numpy as np
+
+    from . import quantum, sequence
+
     seed = _seed(args)
     if args.protocol == "theorem2":
-        rho, protocol = theorem2_protocol(args.p, args.w)
+        rho, protocol = sequence.theorem2_protocol(args.p, args.w)
         label = f"theorem2 p={args.p} w={args.w}"
     elif args.protocol == "qutrit4":
-        rho, protocol = qutrit_value4_protocol()
+        rho, protocol = sequence.qutrit_value4_protocol()
         label = "qutrit4"
     else:
-        rho, protocol = qudit_maxmixed_protocol(args.d)
+        if args.d > MAX_SIMULATED_DIM:
+            raise DomainError(f"simulate quditmm requires d <= {MAX_SIMULATED_DIM}")
+        rho, protocol = sequence.qudit_maxmixed_protocol(args.d)
         label = f"quditmm d={args.d}"
     if not 1 <= args.shots <= MAX_COUNT:
         raise DomainError(f"shots must lie in [1, {MAX_COUNT}] (2**63 - 1)")
-    table = correlations(rho, protocol)
+    table = sequence.correlations(rho, protocol)
     rng = np.random.default_rng(seed)
     counts = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            probs = table.probs[:, :, x, y].ravel()
-            probs = np.clip(probs, 0.0, None)
-            probs = probs / probs.sum()
-            draw = rng.multinomial(args.shots, probs)
-            counts[(x, y)] = {
-                "++": int(draw[0]),
-                "+-": int(draw[1]),
-                "-+": int(draw[2]),
-                "--": int(draw[3]),
-            }
-    claimed = float(purity(rho)) if args.claim_purity else None
+    for x, y in SETTING_PAIRS:
+        probs = np.clip(table.probs[:, :, x, y].ravel(), 0.0, None)
+        draw = rng.multinomial(args.shots, probs / probs.sum())
+        counts[(x, y)] = dict(zip(OUTCOME_KEYS, map(int, draw)))
+    claimed = float(quantum.purity(rho)) if args.claim_purity else None
     return CountsRecord(label=label, claimed_initial_purity=claimed, counts=counts)
 
 
 def _cmd_simulate(args) -> int:
-    rec = _simulated_record(args)
-    text = json.dumps(rec.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    text = json.dumps(_simulated_record(args).to_json_dict(), indent=2, sort_keys=True)
+    _write_or_print(text + "\n", args.output)
     return EXIT_OK
 
 
 def _cmd_surface(args) -> int:
+    import numpy as np
+
     if args.p_steps < 2 or args.w_steps < 2:
         raise DomainError("surface requires at least 2 steps per axis")
     lines = ["p,w,b1_max"]
     for p in np.linspace(0.0, 1.0, args.p_steps):
         for w in np.linspace(0.0, 1.0, args.w_steps):
             lines.append(f"{p:.10g},{w:.10g},{b1_max_constrained(p, w):.12g}")
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_or_print("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -146,9 +138,13 @@ def _report_line(report, extra=None) -> str:
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from . import optimizer, sequence
+
     seed = _seed(args)
     worst_gap = 0.0
-    tol = QUBIT_GAP_TOL
+    tol = optimizer.QUBIT_GAP_TOL
     if args.subject in ("eq5", "theorem2"):
         if args.subject == "eq5":
             points = [(float(p), 1.0) for p in np.linspace(0.0, 1.0, 11)]
@@ -160,21 +156,21 @@ def _cmd_verify(args) -> int:
             axis = np.linspace(0.0, 1.0, args.grid)
             points = [(float(p), float(w)) for p in axis for w in axis]
         for p, w in points:
-            rep = maximize_b1_qubit(p, w, restarts=args.restarts, seed=seed)
+            rep = optimizer.maximize_b1_qubit(p, w, restarts=args.restarts, seed=seed)
             branch = "deterministic" if w <= b1_threshold(p) else "projective-pair"
             print(_report_line(rep, {"p": p, "w": w, "strategy": branch}))
             worst_gap = max(worst_gap, abs(rep.gap))
     elif args.subject == "qudit":
-        tol = QUDIT_GAP_TOL
-        rep = maximize_b1_qudit_maxmixed(args.d, restarts=args.restarts, seed=seed)
+        tol = optimizer.QUDIT_GAP_TOL
+        rep = optimizer.maximize_b1_qudit_maxmixed(args.d, restarts=args.restarts, seed=seed)
         print(_report_line(rep, {"d": args.d}))
         worst_gap = abs(rep.gap)
     else:  # monotonicity
         purities = [0.5 + 0.5 * i / 7 for i in range(8)]
-        results = monotonicity_sweep(
-            b1_weights(), 2, purities, restarts=args.restarts, seed=seed
+        results = optimizer.monotonicity_sweep(
+            sequence.b1_weights(), 2, purities, restarts=args.restarts, seed=seed
         )
-        tol = QUDIT_GAP_TOL
+        tol = optimizer.QUDIT_GAP_TOL
         prev = -np.inf
         for pur, val in results:
             expected = b1_max_initial((2.0 * pur - 1.0) ** 0.5)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CountsFormatError, DomainError
-from .sequence import CorrelationTable
+
+if TYPE_CHECKING:
+    from .sequence import CorrelationTable
 
 # Largest count a counts file or ``simulate --shots`` may hold: the int64
 # range, which numpy's multinomial sampler also accepts.  Counts near 1e308
@@ -47,6 +47,10 @@ class CountsRecord:
         return self.counts[(x, y)][ab] / self.total(x, y)
 
     def empirical_table(self) -> CorrelationTable:
+        import numpy as np
+
+        from .sequence import CorrelationTable
+
         t = np.empty((2, 2, 2, 2))
         for x, y in SETTING_PAIRS:
             tot = self.total(x, y)

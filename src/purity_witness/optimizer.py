@@ -35,6 +35,7 @@ from .witness import b1_max_constrained, b1_max_initial
 QUBIT_GAP_TOL = 1e-6
 QUDIT_GAP_TOL = 1e-5
 SOUNDNESS_TOL = 1e-7
+MAX_RESTARTS = 100_000  # each restart is a row of the lockstep engine's arrays
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -161,8 +162,8 @@ def _search(objective, lo, hi, maxiter, restarts, seed, closed, project):
     """Run the lockstep multistart search from ``restarts`` uniform starts in
     [lo, hi] drawn with ``seed``; report ``project`` of the best point
     against the closed form (if any)."""
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, lo.shape[0]))
     best, params, _ = kernels.multistart_maximize(
         objective, starts, lo, hi, maxiter, 1e-12, 1e-10

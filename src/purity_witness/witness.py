@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConsistencyError, DomainError, QubitAssumptionError
-from .quantum import DensityMatrix, partial_trace, purity
+
+if TYPE_CHECKING:
+    from .quantum import DensityMatrix
 
 B1_QUBIT_MAX = 3.0
 B1_TRIVIAL = 2.5
@@ -173,6 +175,8 @@ def concurrence_bounds_from_state(rho: DensityMatrix) -> ConcurrenceBound:
     lower^2 = max(0, max_X 2 (tr rho^2 - tr rho_X^2)),
     upper^2 = min_X 2 (1 - tr rho_X^2), both clamped to [0, 1].
     """
+    from .quantum import partial_trace, purity
+
     glob = purity(rho)
     pa = purity(partial_trace(rho, "A"))
     pb = purity(partial_trace(rho, "B"))

@@ -477,6 +477,23 @@ def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["simulate", "theorem2", "--shots", "200", "-o", str(p1)]) == 2
 
 
+def test_cli_simulate_rejects_huge_dimension(tmp_path, capsys):
+    # d = 2**63 - 2 used to end in numpy's "array is too big" traceback
+    out = tmp_path / "c.json"
+    for d in ("257", "9223372036854775806"):
+        assert main(["simulate", "quditmm", "--d", d, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_verify_rejects_huge_restarts(capsys):
+    # used to end in numpy's "array is too big" traceback with exit 1
+    assert main(["verify", "theorem2", "--restarts", "1000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "restarts" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,6 +10,7 @@ from purity_witness.optimizer import (
     _functional_value,
     QUBIT_GAP_TOL,
     QUDIT_GAP_TOL,
+    MAX_RESTARTS,
     SOUNDNESS_TOL,
     OptimizationReport,
     QubitEffectParams,
@@ -127,6 +128,12 @@ def test_qudit_search_domain():
         maximize_b1_qudit_maxmixed(7)
     with pytest.raises(DomainError):
         maximize_b1_qudit_maxmixed(4, restarts=0)
+
+
+def test_search_rejects_restarts_above_cap():
+    # rejected before the starts are drawn; a search at the cap is never run
+    with pytest.raises(DomainError, match=str(MAX_RESTARTS)):
+        maximize_b1_qubit(0.5, 0.5, restarts=MAX_RESTARTS + 1)
 
 
 def test_search_reports_deterministic_in_seed():

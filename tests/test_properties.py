@@ -1,10 +1,13 @@
-"""Property tests at the package's edges: counts input and closed forms.
+"""Property tests at the package's edges: counts input, closed forms and
+command-line arguments.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic; ``conftest.py`` keeps hypothesis's caches out of the working
 directory.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -15,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purity_witness.cli import main as cli_main
 from purity_witness.counts import (
     OUTCOME_KEYS,
     CountsRecord,
@@ -23,6 +27,7 @@ from purity_witness.counts import (
 )
 from purity_witness.errors import CountsFormatError
 from purity_witness.kernels import b1_qubit_objective
+from purity_witness.optimizer import MAX_RESTARTS
 from purity_witness.witness import (
     b1_max_constrained,
     b1_max_initial,
@@ -30,7 +35,6 @@ from purity_witness.witness import (
 )
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
-
 
 json_scalars = (
     st.none()
@@ -124,3 +128,108 @@ def test_qubit_objective_never_exceeds_closed_form(r0, q0, r1, q1, theta, p, w):
     val = float(b1_qubit_objective(r0, q0, r1, q1, theta, p, w))
     assert np.isfinite(val)
     assert val <= b1_max_constrained(p, w) + 1e-12
+
+
+# -- command line -------------------------------------------------------------
+
+# per-setting counts (x, y) -> outcomes; the second set has B1 = 4 > 3
+QUBIT_COUNTS = {(x, y): {"++": 90, "+-": 5, "-+": 3, "--": 2} for x in (0, 1) for y in (0, 1)}
+SUPER_QUBIT_COUNTS = {
+    (x, y): {"++": 1000 * (x == y), "+-": 1000 * (x != y), "-+": 0, "--": 0}
+    for x in (0, 1)
+    for y in (0, 1)
+}
+
+
+def _counts_file(label, counts):
+    return CountsRecord(label=label, claimed_initial_purity=0.9, counts=counts).to_json_dict()
+
+
+# Option values of the right type for argparse, so that parsing succeeds and
+# the subcommand itself meets nan, inf, negative and huge numbers.  Values a
+# subcommand accepts are drawn as often as the rest, so that the runs also
+# reach exit codes 0, 3 and 4.
+cli_floats = st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0, 2.75, 3.5]) | st.floats()
+cli_ints = (
+    st.integers(-1, 8)
+    | st.integers(min_value=2**63 - 2)
+    | st.integers(max_value=-(2**63))
+)
+few_steps = st.sampled_from([1, 2, -1])
+# a search with one restart costs milliseconds; every other draw is rejected
+# before the search starts
+search_restarts = (
+    st.just(1) | st.sampled_from([0, -1]) | st.integers(min_value=MAX_RESTARTS + 1)
+)
+
+
+def _options(draw, spec):
+    argv = []
+    for flag, values in spec:
+        value = draw(st.none() | values)
+        if value is not None:
+            # "--b1=-1e+16": argparse reads a separate "-1e+16" as an option
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    command = draw(st.sampled_from(["simulate", "certify", "bounds", "surface", "verify"]))
+    if command == "simulate":
+        argv = [command, draw(st.sampled_from(["theorem2", "qutrit4", "quditmm"]))]
+        argv += _options(draw, [("--p", cli_floats), ("--w", cli_floats), ("--d", cli_ints),
+                                ("--shots", cli_ints), ("--seed", cli_ints)])
+        if draw(st.booleans()):
+            argv.append("--claim-purity")
+        return argv + ["-o", str(out_dir / "counts.json")]
+    if command == "certify":
+        name = draw(st.sampled_from(["qubit-counts.json", "super-counts.json", "missing.json"]))
+        argv = [command, str(out_dir / name)]
+        argv += _options(draw, [("--delta", cli_floats)])
+        if draw(st.booleans()):
+            argv += ["-o", str(out_dir / "cert.json")]
+        return argv
+    if command == "bounds":
+        return [command] + _options(draw, [("--b1", cli_floats), ("--p", cli_floats),
+                                           ("--w", cli_floats), ("--purity", cli_floats)])
+    if command == "surface":
+        argv = [command] + _options(draw, [("--p-steps", few_steps), ("--w-steps", few_steps)])
+        return argv + ["-o", str(out_dir / "surface.csv")]
+    argv = [command, draw(st.sampled_from(["eq5", "theorem2", "qudit", "monotonicity"]))]
+    argv += _options(draw, [("--p", cli_floats), ("--w", cli_floats), ("--d", cli_ints),
+                            ("--grid", few_steps), ("--seed", cli_ints)])
+    return argv + [f"--restarts={draw(search_restarts)!r}"]
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_non_finite)
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@settings(deterministic, max_examples=300)
+@given(st.data())
+def test_any_cli_argv_exits_with_a_documented_code(tmp_path_factory, data):
+    out_dir = tmp_path_factory.getbasetemp() / "argv"
+    out_dir.mkdir(exist_ok=True)
+    for stale in out_dir.iterdir():
+        stale.unlink()
+    for name, counts in (("qubit", QUBIT_COUNTS), ("super", SUPER_QUBIT_COUNTS)):
+        (out_dir / f"{name}-counts.json").write_text(json.dumps(_counts_file(name, counts)))
+    argv = data.draw(cli_argv(out_dir))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    assert code in (0, 2, 3, 4)
+    text = out.getvalue()
+    if argv[0] == "verify":
+        for line in text.splitlines():
+            _strict_json(line)
+    elif text:
+        _strict_json(text)
+    for written in (out_dir / "counts.json", out_dir / "cert.json"):
+        if written.exists():
+            _strict_json(written.read_text())

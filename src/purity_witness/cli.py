@@ -38,6 +38,8 @@ EXIT_QUBIT_ASSUMPTION = 3
 EXIT_GAP = 4
 # simulate quditmm validates d x d matrices: O(d^3) time, O(d^2) memory
 MAX_SIMULATED_DIM = 256
+MAX_SURFACE_STEPS = 1001  # surface writes p_steps * w_steps CSV lines
+MAX_GRID_STEPS = 101  # verify theorem2 --grid runs grid**2 searches
 
 
 def __getattr__(name):
@@ -120,8 +122,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_surface(args) -> int:
     import numpy as np
 
-    if args.p_steps < 2 or args.w_steps < 2:
-        raise DomainError("surface requires at least 2 steps per axis")
+    if not all(2 <= n <= MAX_SURFACE_STEPS for n in (args.p_steps, args.w_steps)):
+        raise DomainError(f"surface steps per axis must lie in [2, {MAX_SURFACE_STEPS}]")
     lines = ["p,w,b1_max"]
     for p in np.linspace(0.0, 1.0, args.p_steps):
         for w in np.linspace(0.0, 1.0, args.w_steps):
@@ -151,8 +153,8 @@ def _cmd_verify(args) -> int:
         elif args.grid is None:
             points = [(args.p, args.w)]
         else:
-            if args.grid < 2:
-                raise DomainError("theorem2 --grid requires at least 2 steps per axis")
+            if not 2 <= args.grid <= MAX_GRID_STEPS:
+                raise DomainError(f"theorem2 --grid must lie in [2, {MAX_GRID_STEPS}]")
             axis = np.linspace(0.0, 1.0, args.grid)
             points = [(float(p), float(w)) for p in axis for w in axis]
         for p, w in points:

@@ -15,7 +15,8 @@ Objective kinds:
        two-dimensional subspace.
 
 Parameters are projected onto their constraint set (``project``) inside the
-objective, so the simplex search runs over a plain box.
+objective, so the simplex search runs over a plain box.  Numpy calls, not
+arithmetic, bound a search: column views and a one-gather sort keep them few.
 """
 
 from __future__ import annotations
@@ -31,17 +32,24 @@ def project(kind, params):
     Kind 0 clips each (r, q) pair to 0 <= q <= r <= 1 - q, kind 1 each
     (a, b) pair to 0 <= b <= 1 and 0 <= a <= 1/(1 + b); theta is kept.  The
     projection is idempotent, so a projected point has the same objective
-    value as the point it came from.
+    value as the point it came from.  Entries match a batched np.clip bitwise.
     """
-    x = np.array(params, dtype=float)
+    return np.stack(_projected_columns(kind, params), axis=-1)
+
+
+def _projected_columns(kind, params):
+    # np.clip(r, 0, 1) keeps r on a tie with 0, and np.clip(q, 0, hi) over a
+    # batch takes the bound; np.maximum and np.minimum take their 2nd operand
+    x = np.asarray(params, dtype=float)
+    cols = [x[..., 0], x[..., 1], x[..., 2], x[..., 3], x[..., 4]]
     for i in (0, 2):
         if kind == 0:
-            r = x[..., i] = np.clip(x[..., i], 0.0, 1.0)
-            x[..., i + 1] = np.clip(x[..., i + 1], 0.0, np.minimum(r, 1.0 - r))
+            r = cols[i] = np.minimum(np.maximum(0.0, cols[i]), 1.0)
+            cols[i + 1] = np.minimum(np.maximum(cols[i + 1], 0.0), np.minimum(r, 1.0 - r))
         else:
-            b = x[..., i + 1] = np.clip(x[..., i + 1], 0.0, 1.0)
-            x[..., i] = np.clip(x[..., i], 0.0, 1.0 / (1.0 + b))
-    return x
+            b = cols[i + 1] = np.minimum(np.maximum(0.0, cols[i + 1]), 1.0)
+            cols[i] = np.minimum(np.maximum(cols[i], 0.0), 1.0 / (1.0 + b))
+    return cols
 
 
 def b1_qubit_objective(r0, q0, r1, q1, theta, p, w):
@@ -72,20 +80,20 @@ def _stack(*params):
 def _objective(kind, params, arg0, arg1):
     """B1 of the given kind at params (..., 5); arg0, arg1 are (p, w) for
     kind 0 and (d, unused) for kind 1."""
-    u0, v0, u1, v1, theta = np.moveaxis(project(kind, params), -1, 0)
+    u0, v0, u1, v1, theta = _projected_columns(kind, params)
     x = np.cos(theta)
     if kind == 0:
         r0, q0, r1, q1, p, w = u0, v0, u1, v1, arg0, arg1
+        qq0, qq1, qq01 = q0 * q0, q1 * q1, 2.0 * q0 * q1
         # |q0 v0 - q1 v1| and the post-state alignment terms
-        n = np.sqrt(np.maximum(q0 * q0 + q1 * q1 - 2.0 * q0 * q1 * x, 0.0))
-        x0 = 1.0 + r0 - r1 + w * n
-        x1 = 1.0 + r1 - r0 + w * n
+        wn = w * np.sqrt(np.maximum(qq0 + qq1 - qq01 * x, 0.0))
+        x0 = 1.0 + r0 - r1 + wn
+        x1 = 1.0 + r1 - r0 + wn
         # |q0 X0 v0 + q1 X1 v1| for the initial-state alignment
-        m_sq = q0 * q0 * x0 * x0 + q1 * q1 * x1 * x1 + 2.0 * q0 * q1 * x0 * x1 * x
+        m_sq = qq0 * x0 * x0 + qq1 * x1 * x1 + qq01 * x0 * x1 * x
         return r0 * x0 + r1 * x1 + p * np.sqrt(np.maximum(m_sq, 0.0))
     a0, b0, a1, b1, d = u0, v0, u1, v1, arg0
-    g0 = a0 * b0
-    g1 = a1 * b1
+    g0, g1 = a0 * b0, a1 * b1
     m = np.sqrt(np.maximum(g0 * g0 + g1 * g1 - 2.0 * g0 * g1 * x, 0.0))
     p_plus0 = (2.0 * a0 + d - 2.0) / d
     p_plus1 = (2.0 * a1 + d - 2.0) / d
@@ -110,22 +118,24 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
     pts[:, diag + 1, diag] = np.where(up > hi, x0 - step, up)
     vals = -objective(pts)
     rows = np.arange(n_rows)
+    gather = rows[:, None]
     best_val = np.empty(n_rows)
     best_x = np.empty((n_rows, n))
 
     for _ in range(maxiter):
         order = np.argsort(vals, axis=1)
-        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        done = (vals[:, n] - vals[:, 0] < ftol) & (
-            np.abs(pts[:, 1:] - pts[:, :1]).max(axis=(1, 2)) < xtol
-        )
-        if done.any():
-            best_val[rows[done]] = -vals[done, 0]
-            best_x[rows[done]] = pts[done, 0]
-            pts, vals, rows = pts[~done], vals[~done], rows[~done]
-            if rows.size == 0:
-                return best_val, best_x
+        pts, vals = pts[gather, order], vals[gather, order]
+        done = vals[:, n] - vals[:, 0] < ftol
+        if done.any():  # the vertex spread only matters where ftol holds
+            near = pts[done]
+            done[done] = np.abs(near[:, 1:] - near[:, :1]).reshape(len(near), -1).max(1) < xtol
+            if done.any():
+                best_val[rows[done]] = -vals[done, 0]
+                best_x[rows[done]] = pts[done, 0]
+                pts, vals, rows = pts[~done], vals[~done], rows[~done]
+                if rows.size == 0:
+                    return best_val, best_x
+                gather = gather[: rows.size]
 
         worst, f_worst = pts[:, n], vals[:, n]
         centroid = pts[:, :n].sum(axis=1) / n
@@ -140,21 +150,21 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
         trial = centroid + np.where(expand, 2.0, 0.5)[:, None] * (far - centroid)
         # expanding and contracting rows are disjoint: one objective call
         moved = expand | contract
-        f_trial = np.full_like(f_refl, np.inf)
+        f_trial = np.full(rows.size, np.inf)
         if moved.any():
             f_trial[moved] = -objective(trial[moved])
         use_trial = f_trial < np.minimum(f_refl, f_worst)
         shrink = contract & ~use_trial
         new_pt = np.where(use_trial[:, None], trial, refl)
         new_val = np.where(use_trial, f_trial, f_refl)
-        keep = ~shrink
-        pts[keep, n] = new_pt[keep]
-        vals[keep, n] = new_val[keep]
         if shrink.any():
+            keep = ~shrink
+            pts[keep, n], vals[keep, n] = new_pt[keep], new_val[keep]
             base = pts[shrink, :1]
-            shrunk = base + 0.5 * (pts[shrink, 1:] - base)
-            pts[shrink, 1:] = shrunk
+            pts[shrink, 1:] = shrunk = base + 0.5 * (pts[shrink, 1:] - base)
             vals[shrink, 1:] = -objective(shrunk)
+        else:
+            pts[:, n], vals[:, n] = new_pt, new_val
 
     last = np.argmin(vals, axis=1)
     best_val[rows] = -vals[np.arange(rows.size), last]
@@ -177,9 +187,7 @@ def multistart_maximize(objective, starts, lo, hi, maxiter, ftol, xtol):
     for _ in range(3):
         if active.size == 0:
             break
-        val2, x2 = _nelder_mead_batch(
-            objective, x[active], lo, hi, maxiter, ftol, xtol
-        )
+        val2, x2 = _nelder_mead_batch(objective, x[active], lo, hi, maxiter, ftol, xtol)
         old = val[active]
         gained = val2 > old
         val[active[gained]] = val2[gained]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from purity_witness.certificate import certify
-from purity_witness.cli import main
+from purity_witness.cli import MAX_GRID_STEPS, MAX_SURFACE_STEPS, main
 from purity_witness.counts import (
     MAX_COUNT,
     CountsRecord,
@@ -382,6 +382,24 @@ def test_cli_verify_theorem2_rejects_grid_below_two(grid, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--grid" in captured.err
+
+
+@pytest.mark.parametrize("grid", [str(MAX_GRID_STEPS + 1), "18446744073709551616"])
+def test_cli_verify_theorem2_rejects_grid_above_cap(grid, capsys):
+    # 2**64 used to end in a numpy traceback from np.linspace
+    assert main(["verify", "theorem2", "--grid", grid, "--restarts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--p-steps", "--w-steps"])
+@pytest.mark.parametrize("steps", ["1", str(MAX_SURFACE_STEPS + 1), "18446744073709551616"])
+def test_cli_surface_rejects_steps_outside_range(flag, steps, tmp_path, capsys):
+    out = tmp_path / "surface.csv"
+    assert main(["surface", flag, steps, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "steps" in capsys.readouterr().err
 
 
 def test_cli_verify_qudit_d4(capsys):

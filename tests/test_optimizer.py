@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -373,6 +374,54 @@ def test_lockstep_search_matches_scalar_reference_bitwise(kind):
     assert best == ref_best
     np.testing.assert_array_equal(x, ref_x)
     np.testing.assert_array_equal(per_start, ref_per_start)
+
+
+# sha256 of per_start.tobytes() + best_params.tobytes() for each search, as
+# computed with the engine's plain np.clip/take_along_axis forms; any change to
+# the arithmetic of the engine or of the objectives shows here, so a digest is
+# never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64
+# (the functional search goes through LAPACK).
+_SEARCH_DIGESTS = {
+    ("qubit", 0.25, 0.25): "d93abb7db86d2c0b7ab84bc3bb03f6c5679d474d00b3e85580f42875b0e5e6f8",
+    ("qubit", 0.5, 0.75): "9e9cbaf10c7fb6b886df1d6c89cb2b87433ce94d31b608eb0ee17125880de6e6",
+    ("qubit", 1.0, 1.0): "01b59bf4e257c02582cd37cc6d97163e07e612b826ef815f3bfab803fa38378a",
+    ("qudit", 3): "bc9e20adf21be5ce2cd4ad1341678b33f3f3b94a66ca5d0f5077ff5927596baf",
+    ("qudit", 4): "a7bea11f840f5257e47672f3d5ebf5a28787885fa54348d35275cf035db209cc",
+    ("qudit", 5): "97f299918dd122440ad0b4029f912e6270af94442ef6b04b29a5bac8d5498a14",
+    ("qudit", 6): "83beda390685134f26202016b199f3eb6a95d0d0fe9a3dee06c6d3ca7b2dfaf8",
+    ("functional", 3): "bb24ba9bb906917100056decb44c98ad6efdf93902c61617893707a9f1c10008",
+}
+
+
+def test_search_outputs_match_pinned_digests(monkeypatch):
+    per_start = []
+    engine = kernels.multistart_maximize
+
+    def recording(*args):
+        out = engine(*args)
+        per_start.append(out[2])
+        return out
+
+    monkeypatch.setattr(kernels, "multistart_maximize", recording)
+    searches = {
+        **{
+            ("qubit", p, w): lambda p=p, w=w: maximize_b1_qubit(p, w, 100, seed=0)
+            for p, w in ((0.25, 0.25), (0.5, 0.75), (1.0, 1.0))
+        },
+        **{
+            ("qudit", d): lambda d=d: maximize_b1_qudit_maxmixed(d, 20, seed=0)
+            for d in (3, 4, 5, 6)
+        },
+        ("functional", 3): lambda: maximize_linear_functional(
+            b1_weights(), 3, 0.6, restarts=2, seed=0
+        ),
+    }
+    digests = {}
+    for key, search in searches.items():
+        rep = search()
+        raw = per_start[-1].tobytes() + rep.best_params.tobytes()
+        digests[key] = hashlib.sha256(raw).hexdigest()
+    assert digests == _SEARCH_DIGESTS
 
 
 @pytest.mark.parametrize("kind", [0, 1])

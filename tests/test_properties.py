@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from purity_witness.cli import main as cli_main
 from purity_witness.counts import (
@@ -26,6 +27,7 @@ from purity_witness.counts import (
     ingest_counts,
 )
 from purity_witness.errors import CountsFormatError
+from purity_witness import kernels
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
 from purity_witness.witness import (
@@ -128,6 +130,46 @@ def test_qubit_objective_never_exceeds_closed_form(r0, q0, r1, q1, theta, p, w):
     val = float(b1_qubit_objective(r0, q0, r1, q1, theta, p, w))
     assert np.isfinite(val)
     assert val <= b1_max_constrained(p, w) + 1e-12
+
+
+def _clip_projection(kind, params):
+    """The projection written with np.clip, one column at a time over a 2-D
+    batch: numpy 2.4's clip breaks a tie between 0.0 and -0.0 one way on
+    0-d inputs and the other way on arrays."""
+    x = np.array(params, dtype=float).reshape(-1, 5)
+    for i in (0, 2):
+        if kind == 0:
+            r = x[:, i] = np.clip(x[:, i], 0.0, 1.0)
+            x[:, i + 1] = np.clip(x[:, i + 1], 0.0, np.minimum(r, 1.0 - r))
+        else:
+            b = x[:, i + 1] = np.clip(x[:, i + 1], 0.0, 1.0)
+            x[:, i] = np.clip(x[:, i], 0.0, 1.0 / (1.0 + b))
+    return x.reshape(np.shape(params))
+
+
+def _same_bits(a, b):
+    """Equal bit patterns, ignoring only the payload of nans."""
+    both_nan = np.isnan(a) & np.isnan(b)
+    return a.shape == b.shape and bool(((a.view(np.uint64) == b.view(np.uint64)) | both_nan).all())
+
+
+# box edges, signed zeros, nan and infinities, next to points inside and
+# outside both boxes
+kernel_params = arrays(
+    np.float64,
+    array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda s: s[:-1] + (5,)),
+    elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 / 1.5, np.nan, np.inf, -np.inf])
+    | st.floats(min_value=-0.5, max_value=1.5)
+    | st.floats(allow_nan=False),
+)
+
+
+@settings(deterministic, max_examples=300)
+@given(st.sampled_from([0, 1]), kernel_params)
+def test_project_matches_clip_and_is_idempotent(kind, params):
+    projected = kernels.project(kind, params)
+    assert _same_bits(projected, _clip_projection(kind, params))
+    assert _same_bits(kernels.project(kind, projected), projected)
 
 
 # -- command line -------------------------------------------------------------

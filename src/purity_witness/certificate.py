@@ -17,6 +17,7 @@ from . import __version__
 from .counts import CountsRecord, estimate_b1
 from .errors import QubitAssumptionError
 from .witness import (
+    B1_QUBIT_MAX,
     ConcurrenceBound,
     PurityBound,
     concurrence_upper_from_b1,
@@ -97,37 +98,33 @@ def certify(rec: CountsRecord, delta: float = 0.05) -> WitnessCertificate:
     statistically compatible with 3 is clamped for the point bounds.
     """
     b1_hat, b1_low = estimate_b1(rec, delta)
-    if b1_low > 3.0:
+    if b1_low > B1_QUBIT_MAX:
         raise QubitAssumptionError(
             f"confidence-adjusted B1 = {b1_low} exceeds the qubit maximum 3"
         )
-    b1_point = min(b1_hat, 3.0)
-    b1_low_clamped = max(b1_low, 0.0)
-    purity_point = purity_lower_bound(b1_point)
-    purity_conf = purity_lower_bound(b1_low_clamped)
-    conc_point = concurrence_upper_from_b1(b1_point)
-    conc_conf = concurrence_upper_from_b1(b1_low_clamped)
-    postmeas_point = None
-    postmeas_conf = None
-    if rec.claimed_initial_purity is not None:
-        postmeas_point = postmeasurement_purity_bound(
-            b1_point, rec.claimed_initial_purity
-        )
-        postmeas_conf = postmeasurement_purity_bound(
-            b1_low_clamped, rec.claimed_initial_purity
-        )
+    point = _bounds(min(b1_hat, B1_QUBIT_MAX), rec.claimed_initial_purity)
+    conf = _bounds(max(b1_low, 0.0), rec.claimed_initial_purity)
     return WitnessCertificate(
         label=rec.label,
         b1_hat=b1_hat,
         b1_lower_conf=b1_low,
         confidence_delta=delta,
-        purity_point=purity_point,
-        purity_conf=purity_conf,
-        concurrence_point=conc_point,
-        concurrence_conf=conc_conf,
-        postmeas_point=postmeas_point,
-        postmeas_conf=postmeas_conf,
+        purity_point=point[0],
+        purity_conf=conf[0],
+        concurrence_point=point[1],
+        concurrence_conf=conf[1],
+        postmeas_point=point[2],
+        postmeas_conf=conf[2],
         claimed_initial_purity=rec.claimed_initial_purity,
         input_digest=_digest(rec),
         tool_version=__version__,
     )
+
+
+def _bounds(b1_value: float, claimed: Optional[float]):
+    """(purity, concurrence, post-measurement purity or None) bounds at one
+    B1 value; the last needs a claimed initial purity."""
+    postmeas = None
+    if claimed is not None:
+        postmeas = postmeasurement_purity_bound(b1_value, claimed)
+    return purity_lower_bound(b1_value), concurrence_upper_from_b1(b1_value), postmeas

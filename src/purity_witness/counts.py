@@ -13,8 +13,10 @@ sqrt(ln(8/delta) / (2 n_xy)).  Distribution-free and conservative.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -30,6 +32,8 @@ MAX_COUNT = 2**63 - 1
 
 OUTCOME_KEYS = ("++", "+-", "-+", "--")
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# B1 = p(++|00) + p(++|11) + p(+-|01) + p(+-|10), as (ab, x, y) in sum order
+B1_TERMS = (("++", 0, 0), ("++", 1, 1), ("+-", 0, 1), ("+-", 1, 0))
 
 
 @dataclass(frozen=True)
@@ -161,17 +165,13 @@ def ingest_counts(path: str) -> CountsRecord:
         raise CountsFormatError(f"{path}: {exc}") from exc
 
 
-def _check_delta(delta: float) -> None:
+def hoeffding_width(n: int, delta: float) -> float:
+    """Per-setting half width sqrt(ln(8/delta) / (2 n))."""
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
     # below about 4.45e-308, 8/delta overflows and every width is infinite
     if math.isinf(8.0 / delta):
         raise DomainError(f"delta {delta!r} is too small: 8/delta overflows")
-
-
-def hoeffding_width(n: int, delta: float) -> float:
-    """Per-setting half width sqrt(ln(8/delta) / (2 n))."""
-    _check_delta(delta)
     if n < 1:
         raise DomainError("n must be >= 1")
     return math.sqrt(math.log(8.0 / delta) / (2.0 * n))
@@ -179,12 +179,6 @@ def hoeffding_width(n: int, delta: float) -> float:
 
 def estimate_b1(rec: CountsRecord, delta: float) -> tuple[float, float]:
     """Point estimate of B1 and its one-sided lower confidence value."""
-    _check_delta(delta)
-    b1_hat = (
-        rec.empirical_prob("++", 0, 0)
-        + rec.empirical_prob("++", 1, 1)
-        + rec.empirical_prob("+-", 0, 1)
-        + rec.empirical_prob("+-", 1, 0)
-    )
+    b1_hat = functools.reduce(operator.add, (rec.empirical_prob(*t) for t in B1_TERMS))
     width = sum(hoeffding_width(rec.total(x, y), delta) for x, y in SETTING_PAIRS)
     return b1_hat, b1_hat - width

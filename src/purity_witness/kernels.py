@@ -21,9 +21,19 @@ arithmetic, bound a search: column views and a one-gather sort keep them few.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BACKEND = "numpy"
+
+# convergence: a simplex's values within FTOL and its vertices within XTOL of its best
+FTOL = 1e-12
+XTOL = 1e-10
+
+# (lo, hi) search boxes over the constraint sets that ``project`` enforces
+QUBIT_BOX = (np.zeros(5), np.array([1.0, 0.5, 1.0, 0.5, math.pi]))
+QUDIT_BOX = (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi]))
 
 
 def project(kind, params):
@@ -100,14 +110,13 @@ def _objective(kind, params, arg0, arg1):
     return p_plus0 * (1.0 + a0 - a1 + m) + p_plus1 * (1.0 + a1 - a0 + m)
 
 
-def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
+def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     """Maximize objective from every row of x0; [lo, hi] sizes the simplex.
 
     Standard Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
     shrink 1/2) on the negated objective, one simplex per row, all advanced
-    in lockstep; a simplex leaves the active set once its values lie within
-    ftol and its vertices within xtol of its best vertex.  Returns
-    (best_values, best_points), one per row.
+    in lockstep; a simplex leaves the active set once it converges (FTOL,
+    XTOL).  Returns (best_values, best_points), one per row.
     """
     n_rows, n = x0.shape
     step = 0.1 * (hi - lo)
@@ -125,10 +134,10 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
     for _ in range(maxiter):
         order = np.argsort(vals, axis=1)
         pts, vals = pts[gather, order], vals[gather, order]
-        done = vals[:, n] - vals[:, 0] < ftol
-        if done.any():  # the vertex spread only matters where ftol holds
+        done = vals[:, n] - vals[:, 0] < FTOL
+        if done.any():  # the vertex spread only matters where FTOL holds
             near = pts[done]
-            done[done] = np.abs(near[:, 1:] - near[:, :1]).reshape(len(near), -1).max(1) < xtol
+            done[done] = np.abs(near[:, 1:] - near[:, :1]).reshape(len(near), -1).max(1) < XTOL
             if done.any():
                 best_val[rows[done]] = -vals[done, 0]
                 best_x[rows[done]] = pts[done, 0]
@@ -172,7 +181,7 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter, ftol, xtol):
     return best_val, best_x
 
 
-def multistart_maximize(objective, starts, lo, hi, maxiter, ftol, xtol):
+def multistart_maximize(objective, starts, lo, hi, maxiter):
     """Run a restarted simplex search from every start; keep the best.
 
     objective maps a ``(..., n)`` array of points to ``(...)`` values, and
@@ -182,12 +191,12 @@ def multistart_maximize(objective, starts, lo, hi, maxiter, ftol, xtol):
     no more than 1e-13.  Ties go to the earlier restart.  Returns
     (best_value, best_params, per_start_values).
     """
-    val, x = _nelder_mead_batch(objective, starts, lo, hi, maxiter, ftol, xtol)
+    val, x = _nelder_mead_batch(objective, starts, lo, hi, maxiter)
     active = np.arange(starts.shape[0])
     for _ in range(3):
         if active.size == 0:
             break
-        val2, x2 = _nelder_mead_batch(objective, x[active], lo, hi, maxiter, ftol, xtol)
+        val2, x2 = _nelder_mead_batch(objective, x[active], lo, hi, maxiter)
         old = val[active]
         gained = val2 > old
         val[active[gained]] = val2[gained]

@@ -39,12 +39,6 @@ MAX_RESTARTS = 100_000  # each restart is a row of the lockstep engine's arrays
 
 _Z = np.array([0.0, 0.0, 1.0])
 
-# search boxes for the five-parameter kernels
-_QUBIT_LO = np.array([0.0, 0.0, 0.0, 0.0, 0.0])
-_QUBIT_HI = np.array([1.0, 0.5, 1.0, 0.5, math.pi])
-_QUDIT_LO = np.array([0.0, 0.0, 0.0, 0.0, 0.0])
-_QUDIT_HI = np.array([1.0, 1.0, 1.0, 1.0, math.pi])
-
 
 @dataclass(frozen=True)
 class QubitEffectParams:
@@ -72,7 +66,9 @@ class QubitEffectParams:
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Best value found by a multistart search, against its closed form."""
+    """Best value found by a multistart search, against its closed form (the
+    analytic bound, ``gap`` away) and the largest value attainable in its
+    setting, which verification judges it by; it may exceed neither."""
 
     best_value: float
     best_params: np.ndarray
@@ -80,13 +76,14 @@ class OptimizationReport:
     gap: Optional[float]
     restarts: int
     seed: int
+    attainable: Optional[float] = None
 
     def __post_init__(self):
-        if self.closed_form is not None:
-            if self.best_value > self.closed_form + SOUNDNESS_TOL:
+        for bound in (self.closed_form, self.attainable):
+            if bound is not None and self.best_value > bound + SOUNDNESS_TOL:
                 raise DomainError(
                     f"search value {self.best_value} exceeds the analytic "
-                    f"maximum {self.closed_form}: soundness violated"
+                    f"maximum {bound}: soundness violated"
                 )
 
     def to_dict(self) -> dict:
@@ -97,6 +94,7 @@ class OptimizationReport:
             "gap": self.gap,
             "restarts": self.restarts,
             "seed": self.seed,
+            "attainable": self.attainable,
         }
 
 
@@ -158,16 +156,15 @@ def params_to_protocol(
     return bloch_to_density(init), ProtocolPair(meas0, meas1)
 
 
-def _search(objective, lo, hi, maxiter, restarts, seed, closed, project):
+def _search(objective, box, maxiter, restarts, seed, closed, project, attainable=None):
     """Run the lockstep multistart search from ``restarts`` uniform starts in
-    [lo, hi] drawn with ``seed``; report ``project`` of the best point
-    against the closed form (if any)."""
+    the (lo, hi) ``box`` drawn with ``seed``; report ``project`` of the best
+    point against the closed form (if any) and attainable (if lower)."""
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    lo, hi = box
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, lo.shape[0]))
-    best, params, _ = kernels.multistart_maximize(
-        objective, starts, lo, hi, maxiter, 1e-12, 1e-10
-    )
+    best, params, _ = kernels.multistart_maximize(objective, starts, lo, hi, maxiter)
     return OptimizationReport(
         best_value=float(best),
         best_params=project(params),
@@ -175,6 +172,7 @@ def _search(objective, lo, hi, maxiter, restarts, seed, closed, project):
         gap=None if closed is None else closed - float(best),
         restarts=restarts,
         seed=seed,
+        attainable=closed if attainable is None else attainable,
     )
 
 
@@ -182,11 +180,9 @@ def maximize_b1_qubit(
     p: float, w: float, restarts: int = 100, seed: int = 0
 ) -> OptimizationReport:
     """Multistart search for the qubit maximum of B1 at fixed (p, w)."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= w <= 1.0):
-        raise DomainError("p and w must lie in [0, 1]")
     return _search(
         lambda x: kernels._objective(0, x, p, w),
-        _QUBIT_LO, _QUBIT_HI, 4000, restarts, seed,
+        kernels.QUBIT_BOX, 4000, restarts, seed,
         b1_max_constrained(p, w), lambda x: kernels.project(0, x),
     )
 
@@ -199,15 +195,16 @@ def maximize_b1_qudit_maxmixed(
     Search space: block effects with pure post states in the optimizing
     two-dimensional subspace.  closed_form is the analytic upper bound
     max(3, 4(1 - 1/d)); it is attained for d >= 4.  For d = 3 no qutrit
-    protocol on I/3, inside this search space or not, exceeds
-    max(3 - 1/d, 4(1 - 1/d)) = 8/3, and the search attains 8/3.
+    protocol on I/3, inside this search space or not, exceeds the
+    attainable max(3 - 1/d, 4(1 - 1/d)) = 8/3, and the search attains 8/3.
     """
     if d not in (3, 4, 5, 6):
         raise DomainError("d must be one of 3, 4, 5, 6")
     return _search(
         lambda x: kernels._objective(1, x, float(d), 0.0),
-        _QUDIT_LO, _QUDIT_HI, 4000, restarts, seed,
+        kernels.QUDIT_BOX, 4000, restarts, seed,
         max(3.0, 4.0 * (1.0 - 1.0 / d)), lambda x: kernels.project(1, x),
+        attainable=max(3.0 - 1.0 / d, 4.0 * (1.0 - 1.0 / d)),
     )
 
 
@@ -351,7 +348,7 @@ def maximize_linear_functional(
         closed = b1_max_initial(math.sqrt(2.0 * pur - 1.0))
     return _search(
         lambda v: _functional_value(weights, v, dim, pur),
-        np.where(eig, 0.0, -math.pi), np.where(eig, 1.0, math.pi), 8000,
+        (np.where(eig, 0.0, -math.pi), np.where(eig, 1.0, math.pi)), 8000,
         restarts, seed, closed,
         lambda v: np.where(eig, np.clip(v, 0.0, 1.0), v),
     )
@@ -363,12 +360,10 @@ def monotonicity_sweep(
     purities: Sequence[float],
     restarts: int = 40,
     seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Per-purity maxima of a functional, with common random restarts."""
+) -> list[tuple[float, OptimizationReport]]:
+    """Per-purity search reports for a functional, with common random
+    restarts."""
     purs = list(purities)
     if any(b < a for a, b in zip(purs, purs[1:])):
         raise DomainError("purities must be sorted ascending")
-    return [
-        (pur, maximize_linear_functional(f, dim, pur, restarts, seed).best_value)
-        for pur in purs
-    ]
+    return [(pur, maximize_linear_functional(f, dim, pur, restarts, seed)) for pur in purs]

@@ -14,10 +14,12 @@ contribute 0; no conditional probability is ever formed by division.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counts import B1_TERMS
 from .errors import DimensionError, DomainError
 from .quantum import (
     BinaryMeasurement,
@@ -110,12 +112,10 @@ class LinearFunctional:
 
 
 def b1_weights() -> LinearFunctional:
-    """Unit weights on p(++|00), p(++|11), p(+-|01), p(+-|10)."""
+    """Unit weights on the B1 terms p(++|00), p(++|11), p(+-|01), p(+-|10)."""
     w = np.zeros((2, 2, 2, 2))
-    w[0, 0, 0, 0] = 1.0
-    w[0, 0, 1, 1] = 1.0
-    w[0, 1, 0, 1] = 1.0
-    w[0, 1, 1, 0] = 1.0
+    for (a, b), x, y in B1_TERMS:
+        w[_IDX[a], _IDX[b], x, y] = 1.0
     return LinearFunctional(w)
 
 
@@ -137,9 +137,9 @@ def _traces(stack: np.ndarray) -> np.ndarray:
 
 
 def b1(table: CorrelationTable) -> float:
-    """p(++|00) + p(++|11) + p(+-|01) + p(+-|10)."""
-    p = table.probs
-    return float(p[0, 0, 0, 0] + p[0, 0, 1, 1] + p[0, 1, 0, 1] + p[0, 1, 1, 0])
+    """p(++|00) + p(++|11) + p(+-|01) + p(+-|10), added left to right (as
+    estimate_b1 adds them; sum() compensates floats from Python 3.12)."""
+    return functools.reduce(operator.add, (table.prob(*ab, x, y) for ab, x, y in B1_TERMS))
 
 
 def evaluate_functional(f: LinearFunctional, table: CorrelationTable) -> float:

@@ -24,9 +24,7 @@ B1_TRIVIAL = 2.5
 
 class ConcurrenceSource(Enum):
     TEMPORAL = "temporal"
-    LOCAL_PURITY = "local_purity"
     GLOBAL_LOCAL = "global_local"
-    MULTIPARTITE = "multipartite"
 
 
 @dataclass(frozen=True)

@@ -265,12 +265,13 @@ def test_criterion_7_concurrence_sandwich():
 def test_criterion_8_monotonicity():
     purities = [0.5 + 0.5 * i / 7 for i in range(8)]
     results = monotonicity_sweep(b1_weights(), 2, purities, restarts=30, seed=11)
-    vals = [v for _, v in results]
+    vals = [rep.best_value for _, rep in results]
     mono_dev = max(
         [0.0] + [a - b for a, b in zip(vals, vals[1:])]
     )
     closed_dev = max(
-        abs(v - b1_max_initial(math.sqrt(2.0 * pur - 1.0))) for pur, v in results
+        abs(rep.best_value - b1_max_initial(math.sqrt(2.0 * pur - 1.0)))
+        for pur, rep in results
     )
     ok = mono_dev <= 1e-5 and closed_dev <= 1e-5
     _report(

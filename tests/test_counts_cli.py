@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from purity_witness import cli, errors
 from purity_witness.certificate import certify
 from purity_witness.cli import MAX_GRID_STEPS, MAX_SURFACE_STEPS, main
 from purity_witness.counts import (
@@ -15,6 +16,7 @@ from purity_witness.counts import (
     ingest_counts,
 )
 from purity_witness.errors import CountsFormatError, DomainError, QubitAssumptionError
+from purity_witness.optimizer import OptimizationReport
 from purity_witness.quantum import purity
 from purity_witness.sequence import b1, correlations, theorem2_protocol
 from purity_witness.witness import b1_max_constrained
@@ -411,12 +413,68 @@ def test_cli_verify_qudit_d4(capsys):
 
 
 def test_cli_verify_qudit_d3_reports_gap(capsys):
-    # the analytic ceiling is not attainable in dimension 3, so the sweep
-    # flags a verification gap
+    # the analytic ceiling 3 is not attainable in dimension 3: the line keeps
+    # the 1/3 gap to it, and the search is judged against the attainable 8/3
     rc = main(["verify", "qudit", "--d", "3", "--restarts", "40", "--seed", "1"])
     captured = capsys.readouterr()
-    assert rc == 4
-    assert "exceeds tolerance" in captured.err
+    assert rc == 0
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["gap"] == pytest.approx(1.0 / 3.0, abs=1e-5)
+    assert rep["attainable"] == pytest.approx(8.0 / 3.0, abs=1e-15)
+    assert rep["best_value"] == pytest.approx(8.0 / 3.0, abs=1e-5)
+
+
+_REPORT_KEYS = set(OptimizationReport(0.0, np.zeros(1), None, None, 1, 0).to_dict())
+
+
+@pytest.mark.parametrize(
+    "argv,extras,n_lines",
+    [
+        (["eq5"], {"p", "w", "strategy"}, 11),
+        (["theorem2", "--grid", "2"], {"p", "w", "strategy"}, 4),
+        (["qudit", "--d", "5"], {"d"}, 1),
+        (["monotonicity"], {"purity"}, 8),
+    ],
+)
+def test_cli_verify_lines_carry_report_keys(argv, extras, n_lines, capsys):
+    # one restart per search: the exit code may flag a gap, the lines are whole
+    assert main(["verify", *argv, "--restarts", "1", "--seed", "0"]) in (0, 4)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == n_lines
+    for line in lines:
+        assert set(json.loads(line)) == _REPORT_KEYS | extras
+
+
+_EXIT_CODES = {
+    errors.PurityWitnessError: 2,
+    errors.DomainError: 2,
+    errors.DimensionError: 2,
+    errors.QubitAssumptionError: 3,
+    errors.ConsistencyError: 2,
+    errors.CountsFormatError: 2,
+    OSError: 2,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.PurityWitnessError)
+    }
+    assert classes == set(_EXIT_CODES) - {OSError}
+
+
+@pytest.mark.parametrize("exc", list(_EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_cli_maps_each_error_class_to_its_exit_code(exc, monkeypatch, capsys):
+    def fail(args):
+        raise exc("injected failure")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", fail)
+    assert main(["bounds"]) == _EXIT_CODES[exc]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: injected failure\n"
 
 
 def test_cli_verify_monotonicity(capsys):

@@ -277,11 +277,11 @@ def test_functional_search_value_attained_by_explicit_protocol(f, dim, pur):
 def test_monotonicity_sweep_nondecreasing():
     purities = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     results = monotonicity_sweep(b1_weights(), 2, purities, restarts=15, seed=9)
-    vals = [v for _, v in results]
+    vals = [rep.best_value for _, rep in results]
     assert all(b >= a - QUDIT_GAP_TOL for a, b in zip(vals, vals[1:]))
-    for pur, val in results:
+    for pur, rep in results:
         expected = b1_max_initial(math.sqrt(2.0 * pur - 1.0))
-        assert val == pytest.approx(expected, abs=QUDIT_GAP_TOL)
+        assert rep.best_value == pytest.approx(expected, abs=QUDIT_GAP_TOL)
 
 
 def test_monotonicity_sweep_requires_sorted_input():
@@ -293,12 +293,10 @@ def test_kernel_backend_flag_is_exposed():
     assert kernels.BACKEND == "numpy"
 
 
-_BOXES = {
-    0: (np.zeros(5), np.array([1.0, 0.5, 1.0, 0.5, math.pi])),
-    1: (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi])),
-}
+_BOXES = {0: kernels.QUBIT_BOX, 1: kernels.QUDIT_BOX}
 _KIND_ARGS = {0: (0.6, 0.8), 1: (3.0, 0.0)}
-_SEARCH = (4000, 1e-12, 1e-10)  # maxiter, ftol, xtol, as optimizer.py uses
+_MAXITER = 4000  # as optimizer.py uses
+_SEARCH = (_MAXITER, kernels.FTOL, kernels.XTOL)  # maxiter, ftol, xtol
 
 
 def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
@@ -368,7 +366,7 @@ def test_lockstep_search_matches_scalar_reference_bitwise(kind):
     starts = np.random.default_rng(21).uniform(lo, hi, size=(6, 5))
     best, x, per_start = kernels.multistart_maximize(
         lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-        starts, lo, hi, *_SEARCH,
+        starts, lo, hi, _MAXITER,
     )
     ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts)
     assert best == ref_best
@@ -431,12 +429,12 @@ def test_lockstep_rows_share_no_state(kind):
     starts = np.random.default_rng(4).uniform(lo, hi, size=(12, 5))
     _, _, batch = kernels.multistart_maximize(
         lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-        starts, lo, hi, *_SEARCH,
+        starts, lo, hi, _MAXITER,
     )
     single = [
         kernels.multistart_maximize(
             lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-            s[None], lo, hi, *_SEARCH,
+            s[None], lo, hi, _MAXITER,
         )[2][0]
         for s in starts
     ]

@@ -21,15 +21,19 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from purity_witness.cli import main as cli_main
 from purity_witness.counts import (
+    MAX_COUNT,
     OUTCOME_KEYS,
+    SETTING_PAIRS,
     CountsRecord,
     counts_record_from_dict,
+    estimate_b1,
     ingest_counts,
 )
 from purity_witness.errors import CountsFormatError
 from purity_witness import kernels
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
+from purity_witness.sequence import b1, b1_weights, evaluate_functional
 from purity_witness.witness import (
     b1_max_constrained,
     b1_max_initial,
@@ -111,6 +115,33 @@ def test_any_file_content_loads_or_raises_counts_format_error(tmp_path_factory, 
     path = tmp_path_factory.getbasetemp() / "counts.json"
     path.write_bytes(content)
     _loads_or_rejects(ingest_counts, str(path))
+
+
+outcome_count = st.integers(min_value=0, max_value=1000) | st.integers(min_value=0, max_value=MAX_COUNT)
+setting_counts = st.fixed_dictionaries({key: outcome_count for key in OUTCOME_KEYS}).filter(
+    lambda block: sum(block.values()) >= 1
+)
+
+
+@st.composite
+def valid_records(draw):
+    settings_list = [
+        {"x": x, "y": y, "counts": draw(setting_counts)} for x, y in SETTING_PAIRS
+    ]
+    return counts_record_from_dict(
+        {"label": "r", "claimed_initial_purity": None, "settings": settings_list}
+    )
+
+
+@settings(deterministic, max_examples=200)
+@given(valid_records(), st.floats(min_value=1e-300, max_value=0.99))
+def test_b1_readers_agree_on_valid_records(rec, delta):
+    # the estimator and the table reader add the same terms in the same order;
+    # the weighted sum over all 16 entries adds them in another
+    table = rec.empirical_table()
+    b1_hat = estimate_b1(rec, delta)[0]
+    assert b1_hat == b1(table)
+    assert abs(evaluate_functional(b1_weights(), table) - b1_hat) <= 1e-12
 
 
 @deterministic

@@ -156,6 +156,40 @@ def params_to_protocol(
     return bloch_to_density(init), ProtocolPair(meas0, meas1)
 
 
+def qudit_params_to_protocol(
+    params: np.ndarray, d: int
+) -> tuple[DensityMatrix, ProtocolPair]:
+    """Build the maximally mixed input I/d and the measure-and-prepare pair
+    for a qudit search's parameter vector (a0, b0, a1, b1, theta).
+
+    The "+" effects are a_i(1 + b_i c_i.sigma) (+) 1_(d-2), with c0 = z and
+    c1 at angle theta from it in the x-z plane.  Both outcomes of measurement
+    0 (1) re-prepare the pure qubit-block state along +(-)(g0 c0 - g1 c1),
+    g_i = a_i b_i, falling back to +z when that vector vanishes.
+    """
+    if d < 2:
+        raise DimensionError("d must be at least 2")
+    a0, b0, a1, b1, theta = kernels.project(1, params)
+    c0 = _Z
+    c1 = np.array([math.sin(theta), 0.0, math.cos(theta)])
+    diff = a0 * b0 * c0 - a1 * b1 * c1
+
+    def block(qubit: np.ndarray, rest: float) -> np.ndarray:
+        m = rest * np.eye(d, dtype=complex)
+        m[:2, :2] = qubit
+        return m
+
+    def measurement(a, b, c, n):
+        # n is the unit Bloch vector of the pure post state
+        effect = Effect(block(a * (np.eye(2) + b * np.tensordot(c, PAULI, axes=1)), 1.0))
+        post = DensityMatrix(block(0.5 * (np.eye(2) + np.tensordot(n, PAULI, axes=1)), 0.0))
+        return BinaryMeasurement(effect, post, post)
+
+    meas0 = measurement(a0, b0, c0, _normalize_or_z(diff))
+    meas1 = measurement(a1, b1, c1, _normalize_or_z(-diff))
+    return DensityMatrix(np.eye(d, dtype=complex) / d), ProtocolPair(meas0, meas1)
+
+
 def _search(objective, box, maxiter, restarts, seed, closed, project, attainable=None):
     """Run the lockstep multistart search from ``restarts`` uniform starts in
     the (lo, hi) ``box`` drawn with ``seed``; report ``project`` of the best

@@ -1,15 +1,18 @@
 """Finite-dimensional states, effects and a two-qubit concurrence oracle.
 
 All matrix-valued types validate their defining constraints on construction
-(Hermiticity to 1e-12, unit trace to 1e-12, positivity with 1e-10 slack) and
-are treated as immutable afterwards, so a validated object is never checked
-again: an effect validates its complement 1 - E once, and a binary
-measurement holds both of its validated effects.  Dimensions never exceed 6,
-so dense Hermitian eigensolvers are used throughout.
+(finite entries, Hermiticity to 1e-12, unit trace to 1e-12, positivity with
+1e-10 slack) and are treated as immutable afterwards, so a validated object
+is never checked again: an effect validates its complement 1 - E once, and a
+binary measurement holds both of its validated effects.  A qubit (2 x 2)
+matrix is checked in closed form on Python floats, since numpy call overhead
+would dominate four complex numbers; larger ones (qutrits and qudits, up to
+the command line's d = 256) use the dense Hermitian eigensolver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,44 @@ def _as_square(matrix) -> np.ndarray:
     return m
 
 
+def check_finite(what: str, arr: np.ndarray) -> None:
+    """Raise DomainError naming the indices of arr's NaN or infinite entries,
+    if it has any."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        where = ", ".join(str(idx.tolist()) for idx in bad)
+        raise DomainError(f"{what} has non-finite entries at {where}")
+
+
+def _summary(m: np.ndarray, what: str) -> tuple[float, complex, float, float]:
+    """The largest |m - m^dagger| entry, the trace, and the smallest and largest
+    eigenvalue of the square matrix m, after checking that its entries are
+    finite.
+
+    The eigenvalues are those of the Hermitian matrix with m's lower triangle,
+    the triangle np.linalg.eigvalsh reads.  For 2 x 2 they are
+    mid -+ hypot((a - d)/2, |c|) with mid = (a + d)/2 on the real diagonal
+    a, d and the lower entry c; larger matrices call eigvalsh.
+    """
+    if m.shape[0] == 2:
+        (a, b), (c, d) = m.tolist()
+        s = a + b + c + d
+        if not math.isfinite(s.real + s.imag):
+            check_finite(what, m)  # finite entries can still overflow the sum
+        herm = max(
+            2.0 * abs(a.imag),
+            math.hypot(b.real - c.real, b.imag + c.imag),
+            2.0 * abs(d.imag),
+        )
+        mid = 0.5 * (a.real + d.real)
+        r = math.hypot(0.5 * (a.real - d.real), c.real, c.imag)
+        return herm, a + d, mid - r, mid + r
+    check_finite(what, m)
+    ev = np.linalg.eigvalsh(m)
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    return herm, complex(np.trace(m)), float(ev[0]), float(ev[-1])
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A d-dimensional density operator: Hermitian, unit trace, PSD."""
@@ -44,12 +85,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        herm, tr, lo, _ = _summary(m, "density matrix")
+        if herm > HERM_TOL:
             raise DomainError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m)
         if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise DomainError("density matrix does not have unit trace within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -PSD_SLACK:
+        if lo < -PSD_SLACK:
             raise DomainError("density matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -70,7 +111,8 @@ class BlochState:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,):
             raise DomainError("Bloch direction must be a real 3-vector")
-        if abs(d @ d - 1.0) > 1e-12:
+        if not abs(d @ d - 1.0) <= 1e-12:
+            check_finite("Bloch direction", d)
             raise DomainError("Bloch direction must have unit norm within 1e-12")
         if not 0.0 <= self.length <= 1.0:
             raise DomainError("Bloch-vector length must lie in [0, 1]")
@@ -87,10 +129,10 @@ class Effect:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        herm, _, lo, hi = _summary(m, "effect")
+        if herm > HERM_TOL:
             raise DomainError("effect is not Hermitian within 1e-12")
-        ev = np.linalg.eigvalsh(m)
-        if ev.min() < -PSD_SLACK or ev.max() > 1.0 + PSD_SLACK:
+        if lo < -PSD_SLACK or hi > 1.0 + PSD_SLACK:
             raise DomainError("effect eigenvalues must lie in [0, 1] within 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

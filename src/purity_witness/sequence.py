@@ -27,6 +27,7 @@ from .quantum import (
     DensityMatrix,
     Effect,
     bloch_to_density,
+    check_finite,
 )
 
 OUTCOMES = ("+", "-")
@@ -81,7 +82,8 @@ class CorrelationTable:
         t = np.asarray(self.probs, dtype=float)
         if t.shape != (2, 2, 2, 2):
             raise DomainError("correlation table must have shape (2, 2, 2, 2)")
-        if t.min() < -1e-12 or t.max() > 1.0 + 1e-12:
+        if not (t.min() >= -1e-12 and t.max() <= 1.0 + 1e-12):
+            check_finite("correlation table", t)
             raise DomainError("correlation-table entries must lie in [0, 1]")
         sums = t.sum(axis=(0, 1))
         if np.max(np.abs(sums - 1.0)) > 1e-10:
@@ -164,7 +166,7 @@ _DOWN = np.array([0.0, 0.0, -1.0])
 def _theorem2_parts() -> tuple[Effect, Effect, DensityMatrix]:
     """The parts of the theorem 2 protocol that depend on neither p nor w,
     validated on the first call (not at import, so that processes which
-    never simulate never run an eigensolver)."""
+    never simulate validate nothing)."""
     return Effect(np.eye(2, dtype=complex)), Effect(_basis_projector(2, 0)), _maximally_mixed(2)
 
 

@@ -22,6 +22,7 @@ from purity_witness.optimizer import (
     optimal_spectrum,
     optimal_states_for_effects,
     params_to_protocol,
+    qudit_params_to_protocol,
 )
 from purity_witness.quantum import BinaryMeasurement, DensityMatrix, Effect
 from purity_witness.sequence import (
@@ -90,6 +91,23 @@ def test_qubit_best_params_reproduce_value_in_matrix_simulation():
         rho, protocol = params_to_protocol(rep.best_params, p, w)
         assert b1(correlations(rho, protocol)) == pytest.approx(
             rep.best_value, abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_qudit_best_params_reproduce_value_in_matrix_simulation(d):
+    # the qudit search's number has an explicit protocol behind it; d >= 3
+    # also runs the eigvalsh validation path
+    rep = maximize_b1_qudit_maxmixed(d, 20, seed=0)
+    rho, protocol = qudit_params_to_protocol(rep.best_params, d)
+    assert np.array_equal(rho.matrix, np.eye(d) / d)
+    assert b1(correlations(rho, protocol)) == pytest.approx(rep.best_value, abs=1e-9)
+    # and the objective agrees with the simulation away from the optimum
+    lo, hi = kernels.QUDIT_BOX
+    for x in np.random.default_rng(d).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
+        rho, protocol = qudit_params_to_protocol(x, d)
+        assert b1(correlations(rho, protocol)) == pytest.approx(
+            kernels._objective(1, x, float(d), 0.0), abs=1e-12
         )
 
 

@@ -1,14 +1,16 @@
 """The package runs on its declared dependencies alone.
 
 Every import in ``src/purity_witness`` must be relative, from the standard
-library, or numpy, the one runtime dependency in ``pyproject.toml``.  The
-package's exports resolve lazily, and the closed-form command-line paths
-start without numpy.
+library, or numpy, the one runtime dependency in ``pyproject.toml``, and
+its syntax must parse on the ``requires-python`` floor.  The package's
+exports resolve lazily, and the closed-form command-line paths start
+without numpy.
 """
 
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,21 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
         if name.split(".")[0] not in sys.stdlib_module_names | DECLARED
     ]
     assert bad == []
+
+
+def test_src_parses_on_the_requires_python_floor():
+    # the tests may run on a newer interpreter, which accepts newer syntax
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor is not None
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(
+            path.read_text(encoding="utf-8"),
+            str(path),
+            feature_version=tuple(int(v) for v in floor.groups()),
+        )
 
 
 # Run in a fresh interpreter, so that no other test has imported numpy or

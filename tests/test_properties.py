@@ -1,5 +1,5 @@
-"""Property tests at the package's edges: counts input, closed forms and
-command-line arguments.
+"""Property tests at the package's edges: counts input, closed forms, qubit
+validation and command-line arguments.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic; ``conftest.py`` keeps hypothesis's caches out of the working
@@ -9,13 +9,14 @@ directory.
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -29,10 +30,11 @@ from purity_witness.counts import (
     estimate_b1,
     ingest_counts,
 )
-from purity_witness.errors import CountsFormatError
-from purity_witness import kernels
+from purity_witness.errors import CountsFormatError, DomainError
+from purity_witness import kernels, quantum
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
+from purity_witness.quantum import HERM_TOL, PSD_SLACK, TRACE_TOL, DensityMatrix, Effect
 from purity_witness.sequence import b1, b1_weights, evaluate_functional
 from purity_witness.witness import (
     b1_max_constrained,
@@ -201,6 +203,81 @@ def test_project_matches_clip_and_is_idempotent(kind, params):
     projected = kernels.project(kind, params)
     assert _same_bits(projected, _clip_projection(kind, params))
     assert _same_bits(kernels.project(kind, projected), projected)
+
+
+# -- qubit validation ---------------------------------------------------------
+
+# The closed-form 2 x 2 eigenvalues and LAPACK's may differ by a few ulp of
+# the matrix's scale (the sum of its entries' moduli, which cannot underflow
+# as a Frobenius norm can), or of the smallest normal float below it, and the
+# Hermiticity deviation (math.hypot against numpy's hypot) by an ulp of
+# itself.
+EIG_BOUND_ULPS = 8
+HERM_BAND = 4 * np.finfo(float).eps * HERM_TOL
+
+eig_thresholds = st.sampled_from([-PSD_SLACK, 0.0, 1.0, 1.0 + PSD_SLACK])
+eig_offsets = st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11]) | st.floats(-1e-9, 1e-9)
+eigenvalues = st.floats(-2.0, 2.0) | st.builds(lambda c, t: c + t, eig_thresholds, eig_offsets)
+
+
+@st.composite
+def qubit_matrices(draw):
+    """2 x 2 complex matrices: a Hermitian one with a drawn spectrum (unit
+    trace, free or nearly degenerate) in a drawn eigenbasis, then perhaps
+    pushed off Hermitian by about 1e-12 (or by order 1) and scaled."""
+    l0 = draw(eigenvalues)
+    l1 = draw(
+        st.just(1.0 - l0) | eigenvalues | st.floats(-1e-12, 1e-12).map(lambda t: l0 + t)
+    )
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(-math.pi, math.pi))
+    c, s = math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi))
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    m = (u * [l0, l1]) @ u.conj().T
+    skew = draw(st.sampled_from([0.0, 0.0, 3e-13, 1e-12, 3e-12, 1.0]))
+    noise = draw(arrays(complex, (2, 2), elements=st.complex_numbers(max_magnitude=1.0)))
+    return (m + skew * noise) * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-100, 1e-6, 1e6, 1e100]))
+
+
+def _eig_bound(m):
+    info = np.finfo(float)
+    return EIG_BOUND_ULPS * (info.eps * np.abs(m).sum() + info.tiny)
+
+
+@settings(deterministic, max_examples=500)
+@given(qubit_matrices())
+def test_qubit_closed_form_spectrum_matches_eigvalsh(m):
+    # both read the lower triangle; a helper reading the upper one fails here
+    _, _, lo, hi = quantum._summary(m, "matrix")
+    ev = np.linalg.eigvalsh(m)
+    assert abs(lo - ev[0]) <= _eig_bound(m)
+    assert abs(hi - ev[1]) <= _eig_bound(m)
+
+
+def _accepts(cls, m):
+    try:
+        cls(m)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(deterministic, max_examples=500)
+@given(st.sampled_from([DensityMatrix, Effect]), qubit_matrices())
+def test_qubit_validation_decides_as_eigvalsh(cls, m):
+    herm = np.max(np.abs(m - m.conj().T))
+    tr = np.trace(m)
+    ev = np.linalg.eigvalsh(m)
+    limits = [(ev[0], -PSD_SLACK)] + [(ev[1], 1.0 + PSD_SLACK)] * (cls is Effect)
+    # within a stated band of a threshold either decision is right
+    assume(abs(herm - HERM_TOL) > HERM_BAND)
+    assume(all(abs(v - limit) > _eig_bound(m) for v, limit in limits))
+    expected = herm <= HERM_TOL and ev[0] >= -PSD_SLACK
+    if cls is DensityMatrix:
+        expected &= abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL
+    else:
+        expected &= ev[1] <= 1.0 + PSD_SLACK
+    assert _accepts(cls, m) == expected
 
 
 # -- command line -------------------------------------------------------------

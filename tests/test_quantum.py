@@ -208,3 +208,38 @@ def test_effect_eigenvalue_window():
     with pytest.raises(DomainError):
         Effect(np.diag([-0.2, 0.5]))
     Effect(np.diag([1.0, 0.0]))  # boundary is fine
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cls", [DensityMatrix, Effect])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_validated_matrices_reject_non_finite_entries(dim, cls, value):
+    # every comparison with NaN is False, and m - m^dagger warns on inf
+    for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        m = np.eye(dim, dtype=complex) / dim
+        m[entry] = value
+        with pytest.raises(DomainError, match=rf"non-finite entries at \[{entry[0]}, {entry[1]}\]$"):
+            cls(m)
+    m = np.eye(dim, dtype=complex) / dim
+    m[0, 0], m[1, 1] = np.inf, value
+    with pytest.raises(DomainError, match=r"non-finite entries at \[0, 0\], \[1, 1\]$"):
+        cls(m)
+
+
+def test_huge_finite_entries_fail_the_value_checks():
+    # sums of such entries overflow to inf, which the value checks reject
+    with pytest.raises(DomainError, match="eigenvalues"):
+        Effect(np.diag([1e308, 1e308]))
+    with pytest.raises(DomainError, match="trace"):
+        DensityMatrix(np.diag([1e308, 1e308]))
+    with pytest.raises(DomainError, match="Hermitian"):
+        DensityMatrix(np.array([[0.5, 1e308], [1e308j, 0.5]]))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bloch_direction_rejects_non_finite_entries(index, value):
+    direction = np.zeros(3)
+    direction[index] = value
+    with pytest.raises(DomainError, match=rf"non-finite entries at \[{index}\]$"):
+        BlochState(0.5, direction)

@@ -300,3 +300,12 @@ def test_correlation_table_validation():
     bad[0, 0, 0, 0] = 0.5  # slice (0,0) now sums to 1.25
     with pytest.raises(DomainError):
         CorrelationTable(bad)
+
+
+@pytest.mark.parametrize("index", [(0, 0, 0, 0), (1, 0, 1, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_correlation_table_rejects_non_finite_entries(index, value):
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[index] = value
+    with pytest.raises(DomainError, match=rf"non-finite entries at \[{', '.join(map(str, index))}\]$"):
+        CorrelationTable(table)

@@ -15,7 +15,7 @@ _EXPORTS = {
     for module, names in (
         ("quantum", "BinaryMeasurement BlochState DensityMatrix Effect "
          "bloch_length_from_purity bloch_to_density density_to_bloch "
-         "partial_trace purity random_density wootters_concurrence"),
+         "partial_trace purity wootters_concurrence"),
         ("sequence", "CorrelationTable LinearFunctional ProtocolPair b1 b1_weights "
          "correlations evaluate_functional qudit_maxmixed_protocol "
          "qutrit_value4_protocol theorem2_protocol"),

@@ -3,14 +3,19 @@
 A certificate carries every bound twice: at the point estimate b1_hat and at
 the one-sided Hoeffding-adjusted b1_lower_conf.  The headline values are the
 confidence-adjusted ones; the statistical layer is an addition on top of the
-exact witness formulas and is labeled as such in the output.
+exact witness formulas and is labeled as such in the output.  The JSON text
+is written by a small writer of its own: ``json.dumps`` with ``indent`` set
+runs json's pure-Python encoder, which cost more than the certificate's
+arithmetic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -82,7 +87,40 @@ class WitnessCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_json_dict())
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a tree of dicts with
+    str keys whose leaves are str, float, int, bool or None; any other type
+    raises TypeError, as json does (a key that is not a str raises it in
+    encode_basestring_ascii).  newline is the line break and indent that
+    close value's lines."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0.0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _digest(rec: CountsRecord) -> str:

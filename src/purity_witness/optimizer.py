@@ -28,6 +28,7 @@ from .quantum import (
     DensityMatrix,
     Effect,
     bloch_to_density,
+    check_finite,
 )
 from .sequence import LinearFunctional, ProtocolPair, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
@@ -50,7 +51,10 @@ class QubitEffectParams:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        if v.shape != (3,) or abs(v @ v - 1.0) > 1e-12:
+        if v.shape != (3,):
+            raise DomainError("v must be a unit 3-vector")
+        if not abs(v @ v - 1.0) <= 1e-12:
+            check_finite("effect direction v", v)
             raise DomainError("v must be a unit 3-vector")
         if not (0.0 <= self.q <= self.r <= 1.0 - self.q):
             raise DomainError("parameters must satisfy 0 <= q <= r <= 1 - q")
@@ -231,6 +235,21 @@ def maximize_b1_qudit_maxmixed(
     max(3, 4(1 - 1/d)); it is attained for d >= 4.  For d = 3 no qutrit
     protocol on I/3, inside this search space or not, exceeds the
     attainable max(3 - 1/d, 4(1 - 1/d)) = 8/3, and the search attains 8/3.
+
+    Why no protocol on rho = 1/d exceeds ``attainable``: with E0 = E_{+|0},
+    E1 = E_{+|1} and D = E0 - E1, the best post states give
+
+        d*B1 = tr E0 (1 + lmax(D)) + tr E1 (1 + lmax(-D)).
+
+    Projecting onto the positive part of D gives tr E1 <= d - tr D+ (and
+    tr E0 <= d - tr D-); with tr D+- >= ||D+-|| =: a, b in [0, 1],
+
+        d*B1 <= 2d + (d - 1)(a + b) - 2ab,
+
+    which is bilinear, so its maximum sits at a corner of [0, 1]^2:
+    B1 <= max(3 - 1/d, 4(1 - 1/d)), attained by projective protocols.  This
+    is 5/2 at d = 2, 8/3 at d = 3, and the ceiling max(3, 4(1 - 1/d)) for
+    d >= 4.
     """
     if d not in (3, 4, 5, 6):
         raise DomainError("d must be one of 3, 4, 5, 6")

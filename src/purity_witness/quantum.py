@@ -7,7 +7,9 @@ is never checked again: an effect validates its complement 1 - E once, and a
 binary measurement holds both of its validated effects.  A qubit (2 x 2)
 matrix is checked in closed form on Python floats, since numpy call overhead
 would dominate four complex numbers; larger ones (qutrits and qudits, up to
-the command line's d = 256) use the dense Hermitian eigensolver.
+the command line's d = 256) use the dense Hermitian eigensolver.  For the
+same reason a Bloch direction's unit norm is checked, and the Bloch codec
+builds its 2 x 2 matrix, on Python floats.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ class BlochState:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,):
             raise DomainError("Bloch direction must be a real 3-vector")
-        if not abs(d @ d - 1.0) <= 1e-12:
+        x, y, z = d.tolist()
+        if not abs(x * x + y * y + z * z - 1.0) <= 1e-12:
             check_finite("Bloch direction", d)
             raise DomainError("Bloch direction must have unit norm within 1e-12")
         if not 0.0 <= self.length <= 1.0:
@@ -200,10 +203,18 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def bloch_to_density(state: BlochState) -> DensityMatrix:
-    """rho = (1 + p alpha.sigma) / 2."""
-    vec = state.length * state.direction
-    m = 0.5 * (np.eye(2, dtype=complex) + (vec @ PAULI.reshape(3, 4)).reshape(2, 2))
-    return DensityMatrix(m)
+    """rho = (1 + p alpha.sigma) / 2, entry by entry on Python floats.
+
+    The real and imaginary parts of 1 + p alpha.sigma are formed with every
+    zero +0.0 and then halved, which is bitwise what numpy's complex array
+    product 0.5 * (1 + p alpha.sigma) gives where it fuses multiply and add
+    (x86-64 with FMA), signed zeros and underflow included.
+    """
+    x, y, z = (state.length * state.direction).tolist()
+    return DensityMatrix(np.array([
+        [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],
+        [complex(0.5 * (0.0 + x), 0.5 * (0.0 + y)), complex(0.5 * (1.0 - z))],
+    ]))
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochState:
@@ -253,15 +264,3 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     lam.sort()
     c = lam[3] - lam[2] - lam[1] - lam[0]
     return float(min(max(c, 0.0), 1.0))
-
-
-def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
-    """Seeded Hilbert-Schmidt-style random state: normalized G G^dagger."""
-    if not 1 <= rank <= dim:
-        raise DomainError("rank must satisfy 1 <= rank <= dim")
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m)

@@ -14,6 +14,7 @@ contribute 0; no conditional probability is ever formed by division.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -82,11 +83,14 @@ class CorrelationTable:
         t = np.asarray(self.probs, dtype=float)
         if t.shape != (2, 2, 2, 2):
             raise DomainError("correlation table must have shape (2, 2, 2, 2)")
-        if not (t.min() >= -1e-12 and t.max() <= 1.0 + 1e-12):
-            check_finite("correlation table", t)
+        # rows [a, b], columns [x, y], as Python floats
+        rows = t.reshape(4, 4).tolist()
+        sums = [p0 + p1 + p2 + p3 for p0, p1, p2, p3 in zip(*rows)]
+        if not math.isfinite(sums[0] + sums[1] + sums[2] + sums[3]):
+            check_finite("correlation table", t)  # finite entries can still overflow
+        if not (min(map(min, rows)) >= -1e-12 and max(map(max, rows)) <= 1.0 + 1e-12):
             raise DomainError("correlation-table entries must lie in [0, 1]")
-        sums = t.sum(axis=(0, 1))
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
+        if max(abs(s - 1.0) for s in sums) > 1e-10:
             raise DomainError("each (x, y) slice must sum to 1 within 1e-10")
         t.setflags(write=False)
         object.__setattr__(self, "probs", t)
@@ -134,8 +138,13 @@ def correlations(rho_in: DensityMatrix, protocol: ProtocolPair) -> CorrelationTa
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
-    """Real parts of the traces of a stack of matrices, clipped to [0, 1]."""
-    return np.clip(np.trace(stack, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    """Real parts of the traces of a stack of matrices, clipped to [0, 1].
+
+    np.clip(tr, 0, 1) keeps tr on a tie with 0 (a -0.0 stays -0.0), and
+    np.maximum and np.minimum take their 2nd operand on a tie, so this is
+    np.clip bit for bit without its Python-level wrapper.
+    """
+    return np.minimum(np.maximum(0.0, stack.trace(axis1=-2, axis2=-1).real), 1.0)
 
 
 def b1(table: CorrelationTable) -> float:

@@ -1,15 +1,28 @@
-"""Random qubit protocols for the property tests.
+"""Random states and qubit protocols for the tests.
 
 Effects satisfy 0 <= q <= r <= 1 - q; post states are random density
-matrices of rank 1 or 2.  The draws are fixed by the generator, so a seed
-gives the same protocols on every run.
+matrices of rank 1 or 2.  The draws are fixed by the generator or the seed,
+so a seed gives the same states and protocols on every run.
 """
 
 import numpy as np
 
+from purity_witness.errors import DomainError
 from purity_witness.optimizer import QubitEffectParams
-from purity_witness.quantum import BinaryMeasurement, random_density
+from purity_witness.quantum import BinaryMeasurement, DensityMatrix
 from purity_witness.sequence import ProtocolPair
+
+
+def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
+    """Seeded Hilbert-Schmidt-style random state: normalized G G^dagger."""
+    if not 1 <= rank <= dim:
+        raise DomainError("rank must satisfy 1 <= rank <= dim")
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    m = 0.5 * (m + m.conj().T)
+    return DensityMatrix(m)
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:

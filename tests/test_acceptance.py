@@ -4,7 +4,8 @@ Tolerances are stated inline with every check.  Criterion 6 checks each
 qudit search against the attainable maximum max(3 - 1/d, 4(1 - 1/d)) on the
 maximally mixed input and against the paper's ceiling max(3, 4(1 - 1/d)).
 The two differ only at d = 3, where no qutrit protocol on I/3 exceeds 8/3
-(derivation in the test); the 1/3 gap to the ceiling is printed.
+(derived in the maximize_b1_qudit_maxmixed docstring); the 1/3 gap to the
+ceiling is printed.
 """
 
 import math
@@ -24,7 +25,6 @@ from purity_witness.quantum import (
     DensityMatrix,
     partial_trace,
     purity,
-    random_density,
     wootters_concurrence,
 )
 from purity_witness.sequence import (
@@ -45,7 +45,7 @@ from purity_witness.witness import (
     robustness_penalty,
 )
 
-from protocols import random_qubit_protocol
+from protocols import random_density, random_qubit_protocol
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -181,16 +181,9 @@ def test_criterion_6_qudit_bounds():
     t0 = time.perf_counter()
     details = []
     ok = True
-    # Attainable maximum on rho = 1/d.  With E0 = E_{+|0}, E1 = E_{+|1} and
-    # D = E0 - E1, the best post states give
-    #   d*B1 = tr E0 (1 + lmax(D)) + tr E1 (1 + lmax(-D)).
-    # Projecting onto the positive part of D gives tr E1 <= d - tr D+ (and
-    # tr E0 <= d - tr D-); with tr D+- >= ||D+-|| =: a, b in [0, 1],
-    #   d*B1 <= 2d + (d - 1)(a + b) - 2ab,
-    # which is bilinear, so its maximum sits at a corner:
-    #   B1 <= max(3 - 1/d, 4(1 - 1/d)),
-    # attained by projective protocols.  This is 8/3 at d = 3 and equals the
-    # ceiling max(3, 4(1 - 1/d)) for d >= 4.
+    # Attainable maximum on rho = 1/d, max(3 - 1/d, 4(1 - 1/d)): 8/3 at
+    # d = 3, the ceiling max(3, 4(1 - 1/d)) for d >= 4.  The derivation is in
+    # the maximize_b1_qudit_maxmixed docstring.
     for d in (3, 4, 5):
         rep = maximize_b1_qudit_maxmixed(d, restarts=100, seed=42)
         ceiling = max(3.0, 4.0 * (1.0 - 1.0 / d))

@@ -46,6 +46,16 @@ def test_qubit_effect_params_validation():
         QubitEffectParams(0.5, 0.1, np.array([0.0, 0.0, 2.0]))
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_qubit_effect_params_reject_non_finite_direction(index, value):
+    # a NaN norm once passed the unit-norm check, which compared with ">"
+    v = np.array([1.0, 0.0, 0.0]) if index else np.array([0.0, 0.0, 1.0])
+    v[index] = value
+    with pytest.raises(DomainError, match=rf"non-finite entries at \[{index}\]$"):
+        QubitEffectParams(0.5, 0.25, v)
+
+
 def test_qubit_effect_params_effect_eigenvalues():
     eff = QubitEffectParams(0.6, 0.3, np.array([1.0, 0.0, 0.0])).to_effect()
     eigs = np.linalg.eigvalsh(eff.matrix)

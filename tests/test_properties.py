@@ -1,5 +1,5 @@
 """Property tests at the package's edges: counts input, closed forms, qubit
-validation and command-line arguments.
+validation, the qubit trial's Python-float paths and command-line arguments.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic; ``conftest.py`` keeps hypothesis's caches out of the working
@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,18 @@ from purity_witness.counts import (
     ingest_counts,
 )
 from purity_witness.errors import CountsFormatError, DomainError
-from purity_witness import kernels, quantum
+from purity_witness import certificate, kernels, quantum, sequence
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
-from purity_witness.quantum import HERM_TOL, PSD_SLACK, TRACE_TOL, DensityMatrix, Effect
-from purity_witness.sequence import b1, b1_weights, evaluate_functional
+from purity_witness.quantum import (
+    HERM_TOL,
+    PSD_SLACK,
+    TRACE_TOL,
+    BlochState,
+    DensityMatrix,
+    Effect,
+)
+from purity_witness.sequence import CorrelationTable, b1, b1_weights, evaluate_functional
 from purity_witness.witness import (
     b1_max_constrained,
     b1_max_initial,
@@ -278,6 +286,186 @@ def test_qubit_validation_decides_as_eigvalsh(cls, m):
     else:
         expected &= ev[1] <= 1.0 + PSD_SLACK
     assert _accepts(cls, m) == expected
+
+
+# -- qubit trial on Python floats -----------------------------------------------
+
+EPS = np.finfo(float).eps
+UNIT_NORM_TOL = 1e-12
+# d.d summed in two orders (numpy's dot, left to right) differs by a few eps
+UNIT_NORM_BAND = 8 * EPS
+SLICE_SUM_TOL = 1e-10
+# a slice sum of four entries in [-0.5, 1.5] summed in two orders
+SLICE_SUM_BAND = 32 * EPS
+
+certificate_leaves = (
+    st.text()  # every code point but surrogates: non-ASCII, quotes, controls
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "\u00e9", "\U0001d53c"])
+    | st.floats()  # nan and +-inf, which json spells NaN and Infinity
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-7])
+    | st.integers()
+    | st.booleans()
+    | st.none()
+)
+certificate_trees = st.recursive(
+    certificate_leaves | st.just({}),
+    lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(deterministic, max_examples=200)
+@given(certificate_trees)
+def test_certificate_writer_matches_json_dumps(tree):
+    assert certificate._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_certificate_writer_rejects_what_json_rejects():
+    for value in (set(), object(), b"x", 1j, np.bool_(True), np.int64(1)):
+        with pytest.raises(TypeError):
+            json.dumps({"k": value}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            certificate._json_text({"k": value})
+    # a float subclass is written as the float it holds
+    tree = {"k": np.float64(0.1), "z": np.float64(-0.0)}
+    assert certificate._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@st.composite
+def near_unit_directions(draw):
+    """3-vectors scaled so that d.d lies at 1 or at either tolerance edge,
+    give or take a few ulps to 1e-13."""
+    v = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+    assume(v @ v > 1e-6)
+    edge = draw(st.sampled_from([1.0 - UNIT_NORM_TOL, 1.0, 1.0 + UNIT_NORM_TOL]))
+    offset = draw(st.sampled_from([0.0, EPS, -EPS, 1e-14, -1e-14]) | st.floats(-1e-13, 1e-13))
+    return v * math.sqrt((edge + offset) / (v @ v))
+
+
+directions = near_unit_directions() | arrays(float, 3, elements=st.floats(-2.0, 2.0))
+
+
+def _accepts_direction(d):
+    try:
+        BlochState(0.5, d)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(deterministic, max_examples=500)
+@given(directions)
+def test_bloch_direction_check_decides_as_numpy(d):
+    dev = abs(d @ d - 1.0)
+    assume(abs(dev - UNIT_NORM_TOL) > UNIT_NORM_BAND)
+    assert _accepts_direction(d) == (dev <= UNIT_NORM_TOL)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+axis_directions = st.builds(
+    lambda axis, sign, z0, z1: np.roll([sign, z0, z1], axis),
+    st.integers(0, 2), st.sampled_from([1.0, -1.0]), signed_zeros, signed_zeros,
+)
+tiny_directions = st.builds(
+    lambda axis, tiny, z, sign: np.roll([tiny, z, sign], axis),
+    st.integers(0, 2), st.sampled_from([5e-324, -5e-324, 1e-310, -2.5e-308]), signed_zeros,
+    st.sampled_from([1.0, -1.0]),
+)
+bloch_lengths = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-308, 1.0])
+
+
+@settings(deterministic, max_examples=500)
+@given(bloch_lengths, axis_directions | tiny_directions | near_unit_directions())
+def test_bloch_to_density_is_the_complex_array_product(length, d):
+    # bitwise, signed zeros and underflow included
+    assume(_accepts_direction(d))
+    state = BlochState(length, d)
+    vec = state.length * state.direction
+    ref = 0.5 * (np.eye(2, dtype=complex) + (vec @ quantum.PAULI.reshape(3, 4)).reshape(2, 2))
+    assert quantum.bloch_to_density(state).matrix.tobytes() == ref.tobytes()
+
+
+trace_entries = st.complex_numbers(max_magnitude=2.0) | st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(5e-324, 0.0), complex(-5e-324, 0.0)]
+)
+
+
+@settings(deterministic, max_examples=300)
+@given(arrays(complex, (2, 2, 2, 2), elements=trace_entries))
+def test_traces_clip_bitwise_as_np_clip(stack):
+    ref = np.clip(np.trace(stack, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    assert sequence._traces(stack).tobytes() == ref.tobytes()
+
+
+@st.composite
+def near_tables(draw):
+    """Tables whose (x, y) slices sum to 1, then one entry moved to or near a
+    range edge, or by about the slice-sum tolerance."""
+    t = draw(arrays(float, (2, 2, 2, 2), elements=st.floats(0.0, 1.0)))
+    sums = t.sum(axis=(0, 1))
+    t = np.where(sums > 0.0, t / np.where(sums > 0.0, sums, 1.0), 0.25)
+    idx = draw(st.tuples(*[st.integers(0, 1)] * 4))
+    edge = st.sampled_from([-1e-12, 1.0 + 1e-12, 0.0, -0.0, 1.0])
+    near = st.sampled_from([0.0, EPS, -EPS]) | st.floats(-1e-13, 1e-13)
+    shift = st.sampled_from([SLICE_SUM_TOL, -SLICE_SUM_TOL, 0.0]).map(float) | st.floats(-2e-10, 2e-10)
+    if draw(st.booleans()):
+        t[idx] = draw(edge) + draw(near)
+    else:
+        t[idx] += draw(shift) + draw(near)
+    return t
+
+
+tables = near_tables() | arrays(float, (2, 2, 2, 2), elements=st.floats(-0.5, 1.5))
+
+
+def _accepts_table(t):
+    try:
+        CorrelationTable(t)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(deterministic, max_examples=500)
+@given(tables)
+def test_correlation_table_check_decides_as_numpy(t):
+    dev = np.abs(t.sum(axis=(0, 1)) - 1.0)
+    assume(np.all(np.abs(dev - SLICE_SUM_TOL) > SLICE_SUM_BAND))
+    expected = t.min() >= -1e-12 and t.max() <= 1.0 + 1e-12 and dev.max() <= SLICE_SUM_TOL
+    assert _accepts_table(t) == expected
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deterministic, max_examples=200)
+@given(
+    st.sets(st.tuples(*[st.integers(0, 1)] * 4), min_size=1),
+    st.lists(non_finite, min_size=16, max_size=16),
+    arrays(float, (2, 2, 2, 2), elements=finite),
+)
+def test_non_finite_table_entries_are_named(bad, values, t):
+    # finite entries may be huge, so that their sums overflow too
+    for idx, value in zip(sorted(bad), values):
+        t[idx] = value
+    where = ", ".join(str(list(idx)) for idx in sorted(bad))
+    with pytest.raises(DomainError, match=re.escape(f"table has non-finite entries at {where}") + "$"):
+        CorrelationTable(t)
+
+
+@settings(deterministic, max_examples=100)
+@given(
+    st.sets(st.integers(0, 2), min_size=1),
+    st.lists(non_finite, min_size=3, max_size=3),
+    arrays(float, 3, elements=finite),
+)
+def test_non_finite_direction_entries_are_named(bad, values, d):
+    for i, value in zip(sorted(bad), values):
+        d[i] = value
+    where = ", ".join(f"[{i}]" for i in sorted(bad))
+    with pytest.raises(DomainError, match=re.escape(f"direction has non-finite entries at {where}") + "$"):
+        BlochState(0.5, d)
 
 
 # -- command line -------------------------------------------------------------

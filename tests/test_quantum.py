@@ -11,9 +11,10 @@ from purity_witness.quantum import (
     density_to_bloch,
     partial_trace,
     purity,
-    random_density,
     wootters_concurrence,
 )
+
+from protocols import random_density
 
 PHI_PLUS = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 

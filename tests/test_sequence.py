@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from purity_witness.certificate import certify
+from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.quantum import (
     BinaryMeasurement,
     DensityMatrix,
     Effect,
-    random_density,
 )
 from purity_witness.sequence import (
     CorrelationTable,
@@ -22,7 +25,7 @@ from purity_witness.sequence import (
     theorem2_protocol,
 )
 
-from protocols import random_qubit_protocol
+from protocols import random_density, random_qubit_protocol
 
 
 def _deterministic_plus_protocol() -> ProtocolPair:
@@ -309,3 +312,60 @@ def test_correlation_table_rejects_non_finite_entries(index, value):
     table[index] = value
     with pytest.raises(DomainError, match=rf"non-finite entries at \[{', '.join(map(str, index))}\]$"):
         CorrelationTable(table)
+
+
+# sha256 of the correlation tables' bytes (signed zeros included) and of the
+# certificate texts; computed before the simulation and certificate paths
+# moved to Python floats, for numpy 2.4 on x86-64
+_SIMULATION_DIGESTS = {
+    "theorem2 grid": "fcf0f23fb51711059d189ffb7393af233a263a1f525d9f3c00aecf0ad292bac2",
+    "random qubit": "18b858fd8f286911836995c1ca51aef194d8340fd653c8404c97f112c8ce9e21",
+    "qutrit value4": "e49acf22a623633e4333163d2221b3b1fc019bcedc905908afde38fe3e9d9b78",
+    "qudit maxmixed": "62214a331d56364f3c88530109270540022fbc49fcec7454e4809862484308a8",
+    "certificate claim": "51e58417664626684da5c546d19105b5ceb60e33d81e8ee7c96f601d5ce50c1c",
+    "certificate no claim": "d9d74b79415f9662f7eeea3c32af5b26138957d4a5162048a7d6f6a67793e869",
+    "certificate non-ascii": "89ea187f4c4f3b212ac3afed6e79023fb729fcdda34d98ef4ba74a5ced8450d4",
+    "certificate escapes": "0de0db26b6180bf68f776099a7215391dea7da650e898489309246546bae9541",
+}
+
+
+def _table_digest(cases):
+    h = hashlib.sha256()
+    for rho, protocol in cases:
+        h.update(correlations(rho, protocol).probs.tobytes())
+    return h.hexdigest()
+
+
+def _random_qubit_cases():
+    rng = np.random.default_rng(2019)
+    for _ in range(200):
+        protocol = random_qubit_protocol(rng)
+        rho = random_density(2, int(rng.integers(1, 3)), int(rng.integers(0, 2**31)))
+        yield rho, protocol
+
+
+def test_simulation_and_certificate_match_pinned_digests():
+    axis = np.linspace(0.0, 1.0, 11)
+    digests = {
+        # p = 0 and w = 0 give signed zeros in the Bloch vectors
+        "theorem2 grid": _table_digest(
+            theorem2_protocol(float(p), float(w)) for p in axis for w in axis
+        ),
+        "random qubit": _table_digest(_random_qubit_cases()),
+        "qutrit value4": _table_digest([qutrit_value4_protocol()]),
+        "qudit maxmixed": _table_digest(qudit_maxmixed_protocol(d) for d in (4, 5)),
+    }
+    counts = {
+        (x, y): {"++": 500 * (x == y) + 150 + x, "+-": 500 * (x != y) + 150 + y,
+                 "-+": 120, "--": 83}
+        for x, y in SETTING_PAIRS
+    }
+    for key, label, claim in (
+        ("claim", "theorem2 p=0.5 w=1", 0.625),
+        ("no claim", "theorem2 p=0.5 w=1", None),
+        ("non-ascii", "Reinheit \u00e9\u00e8 \u2014 \u03c1 \U0001d53c", 0.9),
+        ("escapes", 'quote " back \\ tab \t nl \n nul \x00 del \x7f', None),
+    ):
+        text = certify(CountsRecord(label, claim, counts), delta=0.05).to_json()
+        digests["certificate " + key] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == _SIMULATION_DIGESTS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purity_witness.errors import ConsistencyError, DomainError, QubitAssumptionError
-from purity_witness.quantum import DensityMatrix, random_density, wootters_concurrence
+from purity_witness.quantum import DensityMatrix, wootters_concurrence
 from purity_witness.witness import (
     ConcurrenceSource,
     b1_max_constrained,
@@ -17,6 +17,8 @@ from purity_witness.witness import (
     purity_lower_bound,
     robustness_penalty,
 )
+
+from protocols import random_density
 
 PHI_PLUS = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 

@@ -5,7 +5,10 @@ axes (scalar calls work too).  The simplex search maximizes any objective
 callable that broadcasts over a ``(..., n)`` population; it advances every
 restart of a multistart search together as one ``(B, n + 1, n)`` array, so a
 search costs a few array operations per iteration instead of a Python loop
-per restart.
+per restart.  Each iteration builds the four points a simplex may move to
+(reflection, expansion, outside and inside contraction) as one
+``(B, 4, n)`` array and evaluates them with one objective call; only a
+shrink calls the objective again.
 
 Objective kinds:
   0 -- qubit B1 for effect parameters (r0, q0, r1, q1, theta) with the
@@ -16,7 +19,10 @@ Objective kinds:
 
 Parameters are projected onto their constraint set (``project``) inside the
 objective, so the simplex search runs over a plain box.  Numpy calls, not
-arithmetic, bound a search: column views and a one-gather sort keep them few.
+arithmetic, bound a search: column views, a one-gather sort and one
+objective call per step keep them few.  An objective that is bound by its
+arithmetic instead (the general functional search, which calls LAPACK) pays
+for the points the step evaluates and does not use.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ XTOL = 1e-10
 # (lo, hi) search boxes over the constraint sets that ``project`` enforces
 QUBIT_BOX = (np.zeros(5), np.array([1.0, 0.5, 1.0, 0.5, math.pi]))
 QUDIT_BOX = (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi]))
+
+# expansion goes twice, a contraction half the way from the centroid to the
+# reflection (expansion, outside contraction) or to the worst vertex (inside)
+_TRIAL_STEPS = np.array([[2.0], [0.5], [0.5]])
 
 
 def project(kind, params):
@@ -116,7 +126,13 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     Standard Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
     shrink 1/2) on the negated objective, one simplex per row, all advanced
     in lockstep; a simplex leaves the active set once it converges (FTOL,
-    XTOL).  Returns (best_values, best_points), one per row.
+    XTOL).  Each step evaluates all four candidates of every active simplex
+    in one ``(B, 4, n)`` objective call and keeps the one that the standard
+    acceptance tests pick, so every row follows the one-simplex-at-a-time
+    method bit for bit; a shrink evaluates its n new vertices in a second
+    call.  At ``maxiter`` a row reports its best vertex as it stands, which
+    the step leaves unsorted.  Returns (best_values, best_points), one per
+    row.
     """
     n_rows, n = x0.shape
     step = 0.1 * (hi - lo)
@@ -127,7 +143,8 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     pts[:, diag + 1, diag] = np.where(up > hi, x0 - step, up)
     vals = -objective(pts)
     rows = np.arange(n_rows)
-    gather = rows[:, None]
+    line = np.arange(n_rows)  # index of each active row into the active arrays
+    gather = line[:, None]
     best_val = np.empty(n_rows)
     best_x = np.empty((n_rows, n))
 
@@ -144,40 +161,40 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
                 pts, vals, rows = pts[~done], vals[~done], rows[~done]
                 if rows.size == 0:
                     return best_val, best_x
-                gather = gather[: rows.size]
+                line, gather = line[: rows.size], gather[: rows.size]
 
-        worst, f_worst = pts[:, n], vals[:, n]
-        centroid = pts[:, :n].sum(axis=1) / n
-        refl = 2.0 * centroid - worst
-        f_refl = -objective(refl)
+        # the four candidates in one objective call: reflection, expansion
+        # and the outside and inside contractions, each with the arithmetic
+        # of the one-simplex method
+        f_worst = vals[:, n]
+        centroid = pts[:, :n].sum(axis=1, keepdims=True) / n
+        refl = 2.0 * centroid - pts[:, n:]
+        far = np.concatenate((refl, refl, pts[:, n:]), axis=1)
+        cand = np.concatenate((refl, centroid + _TRIAL_STEPS * (far - centroid)), axis=1)
+        f = -objective(cand)
+        f_refl = f[:, 0]
         expand = f_refl < vals[:, 0]
         contract = ~expand & ~(f_refl < vals[:, n - 1])
-        # expansion goes twice, contraction half the way from the centroid
-        # to `far`; an expanding row has f_refl < f_worst, so its far point
-        # is refl and the acceptance test min(f_refl, f_worst) is f_refl
-        far = np.where((f_refl < f_worst)[:, None], refl, worst)
-        trial = centroid + np.where(expand, 2.0, 0.5)[:, None] * (far - centroid)
-        # expanding and contracting rows are disjoint: one objective call
-        moved = expand | contract
-        f_trial = np.full(rows.size, np.inf)
-        if moved.any():
-            f_trial[moved] = -objective(trial[moved])
-        use_trial = f_trial < np.minimum(f_refl, f_worst)
+        # an expanding row has f_refl < f_worst, so the acceptance test
+        # min(f_refl, f_worst) is f_refl for it, as for an outside contraction
+        trial = np.where(expand, 1, np.where(f_refl < f_worst, 2, 3))
+        use_trial = (expand | contract) & (f[line, trial] < np.minimum(f_refl, f_worst))
         shrink = contract & ~use_trial
-        new_pt = np.where(use_trial[:, None], trial, refl)
-        new_val = np.where(use_trial, f_trial, f_refl)
+        pick = np.where(use_trial, trial, 0)
+        new_pt, new_val = cand[line, pick], f[line, pick]
         if shrink.any():
-            keep = ~shrink
-            pts[keep, n], vals[keep, n] = new_pt[keep], new_val[keep]
+            # a shrink reads the worst vertex before the step overwrites it
             base = pts[shrink, :1]
-            pts[shrink, 1:] = shrunk = base + 0.5 * (pts[shrink, 1:] - base)
+            shrunk = base + 0.5 * (pts[shrink, 1:] - base)
+            pts[:, n], vals[:, n] = new_pt, new_val
+            pts[shrink, 1:] = shrunk
             vals[shrink, 1:] = -objective(shrunk)
         else:
             pts[:, n], vals[:, n] = new_pt, new_val
 
     last = np.argmin(vals, axis=1)
-    best_val[rows] = -vals[np.arange(rows.size), last]
-    best_x[rows] = pts[np.arange(rows.size), last]
+    best_val[rows] = -vals[line, last]
+    best_x[rows] = pts[line, last]
     return best_val, best_x
 
 

@@ -36,6 +36,7 @@ from .witness import b1_max_constrained, b1_max_initial
 QUBIT_GAP_TOL = 1e-6
 QUDIT_GAP_TOL = 1e-5
 SOUNDNESS_TOL = 1e-7
+HIT_TOL = 1e-6  # a start hits when its value is within HIT_TOL of the best
 MAX_RESTARTS = 100_000  # each restart is a row of the lockstep engine's arrays
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -72,7 +73,9 @@ class QubitEffectParams:
 class OptimizationReport:
     """Best value found by a multistart search, against its closed form (the
     analytic bound, ``gap`` away) and the largest value attainable in its
-    setting, which verification judges it by; it may exceed neither."""
+    setting, which verification judges it by; it may exceed neither.
+    ``hit_rate`` is the share of starts that came within HIT_TOL of the
+    best value."""
 
     best_value: float
     best_params: np.ndarray
@@ -81,6 +84,7 @@ class OptimizationReport:
     restarts: int
     seed: int
     attainable: Optional[float] = None
+    hit_rate: Optional[float] = None
 
     def __post_init__(self):
         for bound in (self.closed_form, self.attainable):
@@ -99,6 +103,7 @@ class OptimizationReport:
             "restarts": self.restarts,
             "seed": self.seed,
             "attainable": self.attainable,
+            "hit_rate": self.hit_rate,
         }
 
 
@@ -198,11 +203,14 @@ def _search(objective, box, maxiter, restarts, seed, closed, project, attainable
     """Run the lockstep multistart search from ``restarts`` uniform starts in
     the (lo, hi) ``box`` drawn with ``seed``; report ``project`` of the best
     point against the closed form (if any) and attainable (if lower)."""
+    for name, value in (("seed", seed), ("restarts", restarts)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DomainError(f"{name} must be a non-negative int, got {value!r}")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     lo, hi = box
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, lo.shape[0]))
-    best, params, _ = kernels.multistart_maximize(objective, starts, lo, hi, maxiter)
+    best, params, per_start = kernels.multistart_maximize(objective, starts, lo, hi, maxiter)
     return OptimizationReport(
         best_value=float(best),
         best_params=project(params),
@@ -211,6 +219,7 @@ def _search(objective, box, maxiter, restarts, seed, closed, project, attainable
         restarts=restarts,
         seed=seed,
         attainable=closed if attainable is None else attainable,
+        hit_rate=int(np.count_nonzero(per_start >= best - HIT_TOL)) / restarts,
     )
 
 

@@ -159,6 +159,29 @@ def test_qudit_search_domain():
         maximize_b1_qudit_maxmixed(4, restarts=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "0"},
+        {"restarts": True},
+        {"restarts": 2.0},
+        {"restarts": -3},
+        {"restarts": None},
+    ],
+)
+def test_search_rejects_seed_and_restarts_that_are_not_counts(kwargs):
+    for search in (
+        lambda: maximize_b1_qubit(0.5, 0.5, **kwargs),
+        lambda: maximize_b1_qudit_maxmixed(4, **kwargs),
+        lambda: maximize_linear_functional(b1_weights(), 2, 0.7, **kwargs),
+    ):
+        with pytest.raises(DomainError, match="must be a non-negative int"):
+            search()
+
+
 def test_search_rejects_restarts_above_cap():
     # rejected before the starts are drawn; a search at the cap is never run
     with pytest.raises(DomainError, match=str(MAX_RESTARTS)):
@@ -324,7 +347,6 @@ def test_kernel_backend_flag_is_exposed():
 _BOXES = {0: kernels.QUBIT_BOX, 1: kernels.QUDIT_BOX}
 _KIND_ARGS = {0: (0.6, 0.8), 1: (3.0, 0.0)}
 _MAXITER = 4000  # as optimizer.py uses
-_SEARCH = (_MAXITER, kernels.FTOL, kernels.XTOL)  # maxiter, ftol, xtol
 
 
 def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
@@ -366,16 +388,17 @@ def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
     return -vals[best], pts[best].copy()
 
 
-def _reference_multistart(kind, starts):
+def _reference_multistart(kind, starts, maxiter=_MAXITER):
     """Per-start loop with chained re-runs and the earliest-start tie rule."""
     lo, hi = _BOXES[kind]
+    search = (maxiter, kernels.FTOL, kernels.XTOL)
     per_start = []
     best_val, best_x = -np.inf, None
     for x0 in starts:
-        val, x = _reference_nelder_mead(kind, *_KIND_ARGS[kind], x0, lo, hi, *_SEARCH)
+        val, x = _reference_nelder_mead(kind, *_KIND_ARGS[kind], x0, lo, hi, *search)
         for _ in range(3):
             val2, x2 = _reference_nelder_mead(
-                kind, *_KIND_ARGS[kind], x, lo, hi, *_SEARCH
+                kind, *_KIND_ARGS[kind], x, lo, hi, *search
             )
             gained = val2 > val + 1e-13
             if val2 > val:
@@ -400,6 +423,79 @@ def test_lockstep_search_matches_scalar_reference_bitwise(kind):
     assert best == ref_best
     np.testing.assert_array_equal(x, ref_x)
     np.testing.assert_array_equal(per_start, ref_per_start)
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
+def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(kind, maxiter):
+    # no simplex converges within 40 steps from these starts, so every run
+    # ends at maxiter and reports the best of its vertices as they stand
+    lo, hi = _BOXES[kind]
+    for seed in range(4):
+        starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
+        best, x, per_start = kernels.multistart_maximize(
+            lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
+            starts, lo, hi, maxiter,
+        )
+        ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts, maxiter)
+        assert best == ref_best
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(per_start, ref_per_start)
+
+
+# objective calls of two fixed searches, by the middle axis of the array each
+# call receives: 6 the initial simplex, 4 a step's candidates, 5 a shrink's
+# new vertices; a step that calls the objective more than once shows here
+_OBJECTIVE_CALLS = {
+    "qubit": {6: 2, 4: 427, 5: 184},
+    "qudit": {6: 2, 4: 232, 5: 144},
+}
+
+
+def test_search_objective_calls_are_pinned(monkeypatch):
+    objective = kernels._objective
+    shapes = []
+
+    def counted(*args):
+        shapes.append(np.shape(args[1]))
+        return objective(*args)
+
+    monkeypatch.setattr(kernels, "_objective", counted)
+    calls = {}
+    for name, search in (
+        ("qubit", lambda: maximize_b1_qubit(0.6, 0.8, restarts=10, seed=3)),
+        ("qudit", lambda: maximize_b1_qudit_maxmixed(3, restarts=10, seed=3)),
+    ):
+        shapes.clear()
+        search()
+        # every call is a (B, k, 5) stack of B <= 10 active simplices
+        assert all(len(s) == 3 and s[0] <= 10 and s[2] == 5 for s in shapes)
+        calls[name] = {k: sum(s[1] == k for s in shapes) for k in (6, 4, 5)}
+        assert sum(calls[name].values()) == len(shapes)
+    assert calls == _OBJECTIVE_CALLS
+
+
+def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
+    per_start = []
+    engine = kernels.multistart_maximize
+
+    def recording(*args):
+        out = engine(*args)
+        per_start.append(out[2])
+        return out
+
+    monkeypatch.setattr(kernels, "multistart_maximize", recording)
+    # some starts of both searches miss the best value: at (0.25, 0.25), just
+    # above the branch point, most of them do
+    for search in (
+        lambda: maximize_b1_qubit(0.25, 0.25, restarts=40, seed=0),
+        lambda: maximize_b1_qudit_maxmixed(3, restarts=20, seed=0),
+    ):
+        rep = search()
+        hits = np.count_nonzero(per_start[-1] >= rep.best_value - 1e-6)
+        assert 0 < hits < rep.restarts
+        assert rep.hit_rate == hits / rep.restarts
+        assert rep.to_dict()["hit_rate"] == rep.hit_rate
 
 
 # sha256 of per_start.tobytes() + best_params.tobytes() for each search, as

@@ -25,6 +25,7 @@ from .witness import (
     B1_QUBIT_MAX,
     ConcurrenceBound,
     PurityBound,
+    b1_max_initial,
     concurrence_upper_from_b1,
     postmeasurement_purity_bound,
     purity_lower_bound,
@@ -131,17 +132,21 @@ def _digest(rec: CountsRecord) -> str:
 def certify(rec: CountsRecord, delta: float = 0.05) -> WitnessCertificate:
     """Evaluate all witness bounds on a counts record.
 
-    Raises QubitAssumptionError when even the confidence-adjusted B1 exceeds
-    the qubit ceiling of 3.  A point estimate above 3 that is still
-    statistically compatible with 3 is clamped for the point bounds.
+    A ceiling on B1 rejects a record only when even the confidence-adjusted
+    value exceeds it: QubitAssumptionError above the qubit ceiling of 3,
+    and, with a claimed initial purity P, ConsistencyError above the claim's
+    ceiling b1_max_initial(sqrt(2P - 1)) + 1e-9.  A point estimate above a
+    ceiling that is still statistically compatible with it is clamped to
+    that ceiling for the point bounds.
     """
     b1_hat, b1_low = estimate_b1(rec, delta)
     if b1_low > B1_QUBIT_MAX:
         raise QubitAssumptionError(
             f"confidence-adjusted B1 = {b1_low} exceeds the qubit maximum 3"
         )
-    point = _bounds(min(b1_hat, B1_QUBIT_MAX), rec.claimed_initial_purity)
-    conf = _bounds(max(b1_low, 0.0), rec.claimed_initial_purity)
+    claimed = rec.claimed_initial_purity
+    conf = _bounds(max(b1_low, 0.0), claimed)
+    point = _bounds(min(b1_hat, B1_QUBIT_MAX), claimed, clamp=True)
     return WitnessCertificate(
         label=rec.label,
         b1_hat=b1_hat,
@@ -159,10 +164,15 @@ def certify(rec: CountsRecord, delta: float = 0.05) -> WitnessCertificate:
     )
 
 
-def _bounds(b1_value: float, claimed: Optional[float]):
+def _bounds(b1_value: float, claimed: Optional[float], clamp: bool = False):
     """(purity, concurrence, post-measurement purity or None) bounds at one
-    B1 value; the last needs a claimed initial purity."""
+    B1 value.  The last needs a claimed initial purity and raises
+    ConsistencyError above the claim's ceiling, unless clamp takes it at
+    that ceiling."""
     postmeas = None
     if claimed is not None:
-        postmeas = postmeasurement_purity_bound(b1_value, claimed)
+        b1_post = b1_value
+        if clamp:  # the ceiling and tolerance of postmeasurement_purity_bound
+            b1_post = min(b1_value, b1_max_initial(math.sqrt(2.0 * claimed - 1.0)) + 1e-9)
+        postmeas = postmeasurement_purity_bound(b1_post, claimed)
     return purity_lower_bound(b1_value), concurrence_upper_from_b1(b1_value), postmeas

@@ -96,6 +96,13 @@ def _simulated_record(args) -> CountsRecord:
         label = f"quditmm d={args.d}"
     if not 1 <= args.shots <= MAX_COUNT:
         raise DomainError(f"shots must lie in [1, {MAX_COUNT}] (2**63 - 1)")
+    claimed = float(quantum.purity(rho)) if args.claim_purity else None
+    # the counts schema takes a claimed purity in the qubit range only
+    if claimed is not None and not 0.5 <= claimed <= 1.0:
+        raise DomainError(
+            f"--claim-purity: {label} has initial purity {claimed}, "
+            "outside the range [0.5, 1] a counts file may claim"
+        )
     table = sequence.correlations(rho, protocol)
     rng = np.random.default_rng(seed)
     counts = {}
@@ -103,7 +110,6 @@ def _simulated_record(args) -> CountsRecord:
         probs = np.clip(table.probs[:, :, x, y].ravel(), 0.0, None)
         draw = rng.multinomial(args.shots, probs / probs.sum())
         counts[(x, y)] = dict(zip(OUTCOME_KEYS, map(int, draw)))
-    claimed = float(quantum.purity(rho)) if args.claim_purity else None
     return CountsRecord(label=label, claimed_initial_purity=claimed, counts=counts)
 
 

@@ -18,12 +18,9 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import CountsFormatError, DomainError
-
-if TYPE_CHECKING:
-    from .sequence import CorrelationTable
 
 # Largest count a counts file or ``simulate --shots`` may hold: the int64
 # range, which numpy's multinomial sampler also accepts.  Counts near 1e308
@@ -49,19 +46,6 @@ class CountsRecord:
 
     def empirical_prob(self, ab: str, x: int, y: int) -> float:
         return self.counts[(x, y)][ab] / self.total(x, y)
-
-    def empirical_table(self) -> CorrelationTable:
-        import numpy as np
-
-        from .sequence import CorrelationTable
-
-        t = np.empty((2, 2, 2, 2))
-        for x, y in SETTING_PAIRS:
-            tot = self.total(x, y)
-            for i, a in enumerate("+-"):
-                for j, b in enumerate("+-"):
-                    t[i, j, x, y] = self.counts[(x, y)][a + b] / tot
-        return CorrelationTable(t)
 
     def to_json_dict(self) -> dict:
         return {

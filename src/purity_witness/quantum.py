@@ -178,20 +178,6 @@ class BinaryMeasurement:
     def dim(self) -> int:
         return self.effect_plus.dim
 
-    def effect(self, outcome: str) -> Effect:
-        if outcome == "+":
-            return self.effect_plus
-        if outcome == "-":
-            return self.effect_minus
-        raise DomainError(f"unknown outcome {outcome!r}")
-
-    def post_state(self, outcome: str) -> DensityMatrix:
-        if outcome == "+":
-            return self.post_plus
-        if outcome == "-":
-            return self.post_minus
-        raise DomainError(f"unknown outcome {outcome!r}")
-
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), clamped to [1/d, 1]."""

@@ -31,7 +31,6 @@ from .quantum import (
     check_finite,
 )
 
-OUTCOMES = ("+", "-")
 _IDX = {"+": 0, "-": 1}
 
 
@@ -52,8 +51,8 @@ class ProtocolPair:
         if self.meas0.dim != self.meas1.dim:
             raise DimensionError("both measurements must share the same dimension")
         pairs = (self.meas0, self.meas1)
-        effects = np.array([[m.effect(a).matrix for a in OUTCOMES] for m in pairs])
-        posts = np.array([[m.post_state(a).matrix for a in OUTCOMES] for m in pairs])
+        effects = np.array([[m.effect_plus.matrix, m.effect_minus.matrix] for m in pairs])
+        posts = np.array([[m.post_plus.matrix, m.post_minus.matrix] for m in pairs])
         for name, arr in (("effects", effects), ("posts", posts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -61,16 +60,6 @@ class ProtocolPair:
     @property
     def dim(self) -> int:
         return self.meas0.dim
-
-    def measurement(self, setting: int) -> BinaryMeasurement:
-        if setting == 0:
-            return self.meas0
-        if setting == 1:
-            return self.meas1
-        raise DomainError("measurement setting must be 0 or 1")
-
-    def swapped(self) -> "ProtocolPair":
-        return ProtocolPair(self.meas1, self.meas0)
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,9 @@ def concurrence_bounds_from_state(rho: DensityMatrix) -> ConcurrenceBound:
 
 
 def multipartite_concurrence_upper(n: int, local_purities: list[float]) -> float:
-    """C <= 2^(1 - n/2) sqrt(2^n - 2 - sum_i P_i) for n qubit subsystems."""
+    """C <= 2^(1 - n/2) sqrt(2^n - 2 - sum_i P_i) for n qubit subsystems,
+    computed as 2 sqrt(1 - (2 + sum_i P_i) 2^-n), in which 2^n cannot
+    overflow."""
     if n < 2:
         raise DomainError("multipartite bound requires n >= 2")
     if len(local_purities) != n:
@@ -198,5 +200,5 @@ def multipartite_concurrence_upper(n: int, local_purities: list[float]) -> float
     for pur in local_purities:
         if not 0.5 <= pur <= 1.0:
             raise DomainError("each local qubit purity must lie in [1/2, 1]")
-    radicand = max(0.0, 2.0**n - 2.0 - sum(local_purities))
-    return 2.0 ** (1.0 - n / 2.0) * math.sqrt(radicand)
+    radicand = max(0.0, 1.0 - (2.0 + sum(local_purities)) * 2.0**-n)
+    return 2.0 * math.sqrt(radicand)

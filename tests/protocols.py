@@ -1,4 +1,4 @@
-"""Random states and qubit protocols for the tests.
+"""Random states and qubit protocols, and counts records, for the tests.
 
 Effects satisfy 0 <= q <= r <= 1 - q; post states are random density
 matrices of rank 1 or 2.  The draws are fixed by the generator or the seed,
@@ -7,10 +7,16 @@ so a seed gives the same states and protocols on every run.
 
 import numpy as np
 
+from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DomainError
 from purity_witness.optimizer import QubitEffectParams
 from purity_witness.quantum import BinaryMeasurement, DensityMatrix
-from purity_witness.sequence import ProtocolPair
+from purity_witness.sequence import (
+    CorrelationTable,
+    ProtocolPair,
+    correlations,
+    theorem2_protocol,
+)
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
@@ -52,3 +58,34 @@ def random_qubit_measurement(rng: np.random.Generator) -> BinaryMeasurement:
 
 def random_qubit_protocol(rng: np.random.Generator) -> ProtocolPair:
     return ProtocolPair(random_qubit_measurement(rng), random_qubit_measurement(rng))
+
+
+def exact_counts(p: float, w: float, shots: int, claimed=None) -> CountsRecord:
+    """Exact counts of theorem2_protocol(p, w): each setting's probabilities
+    times shots, which are integers at dyadic (p, w)."""
+    rho, protocol = theorem2_protocol(p, w)
+    table = correlations(rho, protocol)
+    counts = {}
+    for x in (0, 1):
+        for y in (0, 1):
+            block = {}
+            for i, a in enumerate("+-"):
+                for j, b_ in enumerate("+-"):
+                    raw = table.probs[i, j, x, y] * shots
+                    assert abs(raw - round(raw)) < 1e-9, "non-integer exact counts"
+                    block[a + b_] = int(round(raw))
+            counts[(x, y)] = block
+    return CountsRecord(
+        label=f"exact p={p} w={w}", claimed_initial_purity=claimed, counts=counts
+    )
+
+
+def table_from_counts(rec: CountsRecord) -> CorrelationTable:
+    """The empirical correlation table: each count over its setting's total."""
+    t = np.empty((2, 2, 2, 2))
+    for x, y in SETTING_PAIRS:
+        tot = rec.total(x, y)
+        for i, a in enumerate("+-"):
+            for j, b in enumerate("+-"):
+                t[i, j, x, y] = rec.counts[(x, y)][a + b] / tot
+    return CorrelationTable(t)

@@ -45,29 +45,13 @@ from purity_witness.witness import (
     robustness_penalty,
 )
 
-from protocols import random_density, random_qubit_protocol
+from protocols import exact_counts, random_density, random_qubit_protocol
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} ({name}): {status} [{detail}]")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _exact_counts(p: float, w: float, shots: int) -> CountsRecord:
-    rho, protocol = theorem2_protocol(p, w)
-    table = correlations(rho, protocol)
-    counts = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            block = {}
-            for i, a in enumerate("+-"):
-                for j, b_ in enumerate("+-"):
-                    raw = table.probs[i, j, x, y] * shots
-                    assert abs(raw - round(raw)) < 1e-9, "non-integer exact counts"
-                    block[a + b_] = int(round(raw))
-            counts[(x, y)] = block
-    return CountsRecord(label=f"exact p={p} w={w}", claimed_initial_purity=None, counts=counts)
 
 
 def test_criterion_1_maximum_vs_initial_length():
@@ -103,9 +87,9 @@ def test_criterion_2_constrained_maximum_surface():
 
 
 def test_criterion_3_purity_bound_endpoints():
-    cert_pure = certify(_exact_counts(1.0, 1.0, 1600))
-    cert_mid = certify(_exact_counts(0.5, 1.0, 1600))
-    cert_triv = certify(_exact_counts(0.0, 1.0, 1600))
+    cert_pure = certify(exact_counts(1.0, 1.0, 1600))
+    cert_mid = certify(exact_counts(0.5, 1.0, 1600))
+    cert_triv = certify(exact_counts(0.0, 1.0, 1600))
     ok = (
         abs(cert_pure.b1_hat - 3.0) <= 1e-12
         and cert_pure.purity_point.purity_lower >= 1.0 - 1e-9

@@ -9,35 +9,26 @@ from purity_witness.certificate import certify
 from purity_witness.cli import MAX_GRID_STEPS, MAX_SURFACE_STEPS, main
 from purity_witness.counts import (
     MAX_COUNT,
+    OUTCOME_KEYS,
+    SETTING_PAIRS,
     CountsRecord,
     counts_record_from_dict,
     estimate_b1,
     hoeffding_width,
     ingest_counts,
 )
-from purity_witness.errors import CountsFormatError, DomainError, QubitAssumptionError
+from purity_witness.errors import (
+    ConsistencyError,
+    CountsFormatError,
+    DomainError,
+    QubitAssumptionError,
+)
 from purity_witness.optimizer import OptimizationReport
 from purity_witness.quantum import purity
 from purity_witness.sequence import b1, correlations, theorem2_protocol
-from purity_witness.witness import b1_max_constrained
+from purity_witness.witness import b1_max_constrained, b1_max_initial
 
-
-def _record_from_protocol(p, w, shots=1000, claimed=None, label="t"):
-    """Exact counts: each setting's probabilities times shots, which are
-    integers for the canonical protocols at dyadic (p, w)."""
-    rho, protocol = theorem2_protocol(p, w)
-    table = correlations(rho, protocol)
-    counts = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            block = {}
-            for i, a in enumerate("+-"):
-                for j, b_ in enumerate("+-"):
-                    raw = table.probs[i, j, x, y] * shots
-                    assert abs(raw - round(raw)) < 1e-9
-                    block[a + b_] = int(round(raw))
-            counts[(x, y)] = block
-    return CountsRecord(label=label, claimed_initial_purity=claimed, counts=counts)
+from protocols import exact_counts, table_from_counts
 
 
 def _valid_dict(n=100):
@@ -59,7 +50,7 @@ def test_counts_roundtrip():
 
 
 def test_counts_estimator_exact_point():
-    rec = _record_from_protocol(0.5, 1.0, shots=1000)
+    rec = exact_counts(0.5, 1.0, shots=1000)
     b1_hat, b1_low = estimate_b1(rec, 0.05)
     assert b1_hat == pytest.approx(2.75, abs=1e-12)
     width = 4 * hoeffding_width(1000, 0.05)
@@ -68,8 +59,8 @@ def test_counts_estimator_exact_point():
 
 
 def test_counts_estimator_matches_simulated_table():
-    rec = _record_from_protocol(1.0, 1.0, shots=512)
-    table = rec.empirical_table()
+    rec = exact_counts(1.0, 1.0, shots=512)
+    table = table_from_counts(rec)
     assert b1(table) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -136,7 +127,7 @@ def test_ingest_reports_json_position(tmp_path):
 
 
 def test_certificate_fields_and_digest_stability():
-    rec = _record_from_protocol(0.5, 1.0, shots=4000, claimed=0.625)
+    rec = exact_counts(0.5, 1.0, shots=4000, claimed=0.625)
     cert = certify(rec, delta=0.05)
     assert cert.b1_hat == pytest.approx(2.75, abs=1e-12)
     assert cert.purity_point.purity_lower == pytest.approx(0.625, abs=1e-12)
@@ -156,7 +147,7 @@ def test_certificate_fields_and_digest_stability():
 
 
 def test_certificate_without_claimed_purity_has_no_postmeas():
-    rec = _record_from_protocol(0.5, 1.0, shots=1000)
+    rec = exact_counts(0.5, 1.0, shots=1000)
     cert = certify(rec)
     assert cert.postmeas_point is None
     assert json.loads(cert.to_json())["postmeasurement_purity_bound"]["point"] is None
@@ -198,6 +189,38 @@ def test_certificate_clamps_statistically_compatible_excess():
     cert = certify(rec, delta=0.05)
     assert cert.b1_hat == pytest.approx(4.0, abs=1e-12)
     assert cert.purity_point.purity_lower == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p,w,at_ceiling", [(0.0, 1.0, True), (0.5, 1.0, True), (0.3, 0.9, False)]
+)
+def test_certify_accepts_truthful_claims_at_the_claims_ceiling(p, w, at_ceiling):
+    # at w = 1 the protocol attains the claim's ceiling (5 + p)/2, so about
+    # half of the point estimates lie above it; only b1_lower_conf may reject
+    rho, protocol = theorem2_protocol(p, w)
+    probs = correlations(rho, protocol).probs
+    ceiling = b1_max_initial(p)
+    above = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        counts = {}
+        for x, y in SETTING_PAIRS:
+            draw = rng.multinomial(10_000, probs[:, :, x, y].ravel())
+            counts[(x, y)] = dict(zip(OUTCOME_KEYS, map(int, draw)))
+        cert = certify(CountsRecord(label="t", claimed_initial_purity=purity(rho), counts=counts))
+        above += cert.b1_hat > ceiling + 1e-9
+        assert cert.b1_lower_conf <= ceiling
+        assert cert.postmeas_conf.purity_lower <= cert.postmeas_point.purity_lower <= 1.0
+    assert (above > 0) == at_ceiling
+
+
+def test_certify_rejects_a_claim_below_the_confidence_adjusted_value():
+    # B1 = 3 from 2**20 shots per setting: b1_lower_conf is about 2.994, far
+    # above the ceiling 2.5 of a claimed purity 0.5
+    rec = exact_counts(1.0, 1.0, 2**20, claimed=0.5)
+    with pytest.raises(ConsistencyError, match="impossible for initial purity 0.5"):
+        certify(rec)
+    assert certify(exact_counts(1.0, 1.0, 2**20, claimed=1.0)).postmeas_conf is not None
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +564,26 @@ def test_cli_simulated_purity_claim_matches_protocol(tmp_path):
     rec = ingest_counts(str(out))
     rho, _ = theorem2_protocol(0.6, 1.0)
     assert rec.claimed_initial_purity == pytest.approx(purity(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["theorem2", "--p", "0.6"], 0),
+        (["qutrit4"], 0),
+        (["quditmm"], 2),
+        (["quditmm", "--d", "9"], 2),
+    ],
+)
+def test_cli_simulate_claims_only_a_purity_certify_accepts(argv, code, tmp_path, capsys):
+    # a qudit's initial purity 1/d lies outside the claimable range [0.5, 1]
+    out = tmp_path / "c.json"
+    assert main(["simulate", *argv, "--shots", "100", "--claim-purity", "-o", str(out)]) == code
+    if code == 0:
+        assert ingest_counts(str(out)).claimed_initial_purity is not None
+    else:
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --claim-purity")
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):

@@ -44,6 +44,21 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
     assert bad == []
 
 
+def test_counts_imports_no_package_module_but_errors():
+    # the certify path: counts must not reach sequence (and numpy) again,
+    # not even through an import inside a function
+    tree = ast.parse((SRC / "counts.py").read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("purity_witness"):
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package |= {a.name for a in node.names if a.name.startswith("purity_witness")}
+    assert package == {"errors"}
+
+
 def test_src_parses_on_the_requires_python_floor():
     # the tests may run on a newer interpreter, which accepts newer syntax
     pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")

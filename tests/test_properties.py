@@ -50,6 +50,8 @@ from purity_witness.witness import (
     purity_lower_bound,
 )
 
+from protocols import table_from_counts
+
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
 json_scalars = (
@@ -148,7 +150,7 @@ def valid_records(draw):
 def test_b1_readers_agree_on_valid_records(rec, delta):
     # the estimator and the table reader add the same terms in the same order;
     # the weighted sum over all 16 entries adds them in another
-    table = rec.empirical_table()
+    table = table_from_counts(rec)
     b1_hat = estimate_b1(rec, delta)[0]
     assert b1_hat == b1(table)
     assert abs(evaluate_functional(b1_weights(), table) - b1_hat) <= 1e-12

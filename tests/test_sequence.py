@@ -86,7 +86,7 @@ def test_b1_invariant_under_setting_swap():
         protocol = random_qubit_protocol(rng)
         rho = random_density(2, 2, k)
         assert b1(correlations(rho, protocol)) == pytest.approx(
-            b1(correlations(rho, protocol.swapped())), abs=1e-12
+            b1(correlations(rho, ProtocolPair(protocol.meas1, protocol.meas0))), abs=1e-12
         )
 
 
@@ -194,16 +194,16 @@ def test_qutrit_ceiling_over_random_protocols_on_maximally_mixed_input():
 def _reference_table(rho_in, protocol) -> np.ndarray:
     """The per-entry simulation loop: one trace per probability."""
     t = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        mx = protocol.measurement(x)
-        for i, a in enumerate("+-"):
-            p_first = float(np.trace(mx.effect(a).matrix @ rho_in.matrix).real)
+    pairs = (protocol.meas0, protocol.meas1)
+    for x, mx in enumerate(pairs):
+        for i, (eff, post) in enumerate(
+            ((mx.effect_plus, mx.post_plus), (mx.effect_minus, mx.post_minus))
+        ):
+            p_first = float(np.trace(eff.matrix @ rho_in.matrix).real)
             p_first = min(max(p_first, 0.0), 1.0)
-            post = mx.post_state(a)
-            for y in (0, 1):
-                my = protocol.measurement(y)
-                for j, b_ in enumerate("+-"):
-                    p_second = float(np.trace(my.effect(b_).matrix @ post.matrix).real)
+            for y, my in enumerate(pairs):
+                for j, eff_b in enumerate((my.effect_plus, my.effect_minus)):
+                    p_second = float(np.trace(eff_b.matrix @ post.matrix).real)
                     p_second = min(max(p_second, 0.0), 1.0)
                     t[i, j, x, y] = p_first * p_second
     return t
@@ -250,23 +250,26 @@ def test_measurement_holds_its_validated_minus_effect():
     _, protocol = theorem2_protocol(0.5, 0.5)
     rng = np.random.default_rng(3)
     for m in (protocol.meas0, protocol.meas1, random_qubit_protocol(rng).meas0):
-        assert m.effect("-") is m.effect("-")
-        assert m.effect("-") is m.effect_plus.complement()
+        assert m.effect_minus is m.effect_minus
+        assert m.effect_minus is m.effect_plus.complement()
         np.testing.assert_array_equal(
-            m.effect("-").matrix, np.eye(2) - m.effect_plus.matrix
+            m.effect_minus.matrix, np.eye(2) - m.effect_plus.matrix
         )
 
 
 def test_protocol_arrays_are_read_only_stacks():
     _, protocol = qutrit_value4_protocol()
-    for arr, get in ((protocol.effects, "effect"), (protocol.posts, "post_state")):
+    for arr, names in (
+        (protocol.effects, ("effect_plus", "effect_minus")),
+        (protocol.posts, ("post_plus", "post_minus")),
+    ):
         assert arr.shape == (2, 2, 3, 3)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0, 0, 0] = 0.0
-        for x in (0, 1):
-            for i, a in enumerate("+-"):
-                m = getattr(protocol.measurement(x), get)(a).matrix
+        for x, meas in enumerate((protocol.meas0, protocol.meas1)):
+            for i, name in enumerate(names):
+                m = getattr(meas, name).matrix
                 np.testing.assert_array_equal(arr[x, i], m)
 
 

@@ -199,6 +199,12 @@ def test_multipartite_bound_three_qubits():
     assert val == pytest.approx(2.0 ** (-0.5) * math.sqrt(4.5), abs=1e-12)
 
 
+def test_multipartite_bound_without_overflow_at_1024_qubits():
+    # 2.0**1024 overflows; pure marginals leave 2 sqrt(1 - 1026 / 2**1024)
+    assert multipartite_concurrence_upper(1024, [1.0] * 1024) == 2.0
+    assert multipartite_concurrence_upper(1024, [0.5] * 1024) == 2.0
+
+
 def test_multipartite_bound_validation():
     with pytest.raises(DomainError):
         multipartite_concurrence_upper(1, [1.0])

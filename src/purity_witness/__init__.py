@@ -23,9 +23,9 @@ _EXPORTS = {
          "concurrence_bounds_from_state concurrence_upper_from_b1 "
          "multipartite_concurrence_upper postmeasurement_purity_bound "
          "purity_lower_bound robustness_penalty"),
-        ("optimizer", "OptimizationReport QubitEffectParams maximize_b1_qubit "
+        ("optimizer", "OptimizationReport maximize_b1_qubit "
          "maximize_b1_qudit_maxmixed maximize_linear_functional "
-         "monotonicity_sweep optimal_states_for_effects"),
+         "monotonicity_sweep"),
         ("counts", "CountsRecord estimate_b1 ingest_counts"),
         ("certificate", "WitnessCertificate certify"),
     )

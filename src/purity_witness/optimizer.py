@@ -21,15 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .quantum import (
-    PAULI,
-    BinaryMeasurement,
-    BlochState,
-    DensityMatrix,
-    Effect,
-    bloch_to_density,
-    check_finite,
-)
+from .quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect
 from .sequence import LinearFunctional, ProtocolPair, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
 
@@ -40,33 +32,6 @@ HIT_TOL = 1e-6  # a start hits when its value is within HIT_TOL of the best
 MAX_RESTARTS = 100_000  # each restart is a row of the lockstep engine's arrays
 
 _Z = np.array([0.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class QubitEffectParams:
-    """E_+ = r 1 + q v.sigma with 0 <= q <= r <= 1 - q."""
-
-    r: float
-    q: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (3,):
-            raise DomainError("v must be a unit 3-vector")
-        if not abs(v @ v - 1.0) <= 1e-12:
-            check_finite("effect direction v", v)
-            raise DomainError("v must be a unit 3-vector")
-        if not (0.0 <= self.q <= self.r <= 1.0 - self.q):
-            raise DomainError("parameters must satisfy 0 <= q <= r <= 1 - q")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-    def to_effect(self) -> Effect:
-        m = self.r * np.eye(2, dtype=complex) + self.q * np.tensordot(
-            self.v, PAULI, axes=1
-        )
-        return Effect(m)
 
 
 @dataclass(frozen=True)
@@ -107,96 +72,74 @@ class OptimizationReport:
         }
 
 
-def _normalize_or_z(vec: np.ndarray) -> np.ndarray:
+def _block_state(length: float, vec: np.ndarray, d: int) -> DensityMatrix:
+    """(1 + length u.sigma)/2 (+) 0_(d-2) for u the unit vector along vec, or
+    +z where vec vanishes; the qubit block is formed entry by entry as
+    ``quantum.bloch_to_density`` forms it."""
     n = float(np.linalg.norm(vec))
-    if n < 1e-12:
-        return _Z.copy()
-    return vec / n
+    x, y, z = (length * (_Z if n < 1e-12 else vec / n)).tolist()
+    m = np.zeros((d, d), dtype=complex)
+    m[:2, :2] = [
+        [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],
+        [complex(0.5 * (0.0 + x), 0.5 * (0.0 + y)), complex(0.5 * (1.0 - z))],
+    ]
+    return DensityMatrix(m)
 
 
-def optimal_states_for_effects(
-    e0: QubitEffectParams,
-    e1: QubitEffectParams,
-    p: float,
-    w0: float,
-    w1: float,
-) -> tuple[BlochState, BlochState, BlochState]:
-    """Optimal (initial, post0, post1) Bloch states for a pair of effects.
+def _search_measurements(r, q, theta, w, d):
+    """The measure-and-prepare pair behind a B1 search point.
 
-    The post states point along +/-(q0 v0 - q1 v1); the initial state along
-    q0 X0 v0 + q1 X1 v1 with X_i = 1 + r_i - r_(1-i) + w_i |q0 v0 - q1 v1|.
-    Degenerate zero vectors fall back to +z.
+    The "+" effects are E_(+|x) = r_x 1 + q_x c_x.sigma (+) 1_(d-2), with
+    c0 = z and c1 at angle theta from it in the x-z plane.  Both outcomes of
+    measurement 0 (1) re-prepare Bloch length w along +(-)(q0 c0 - q1 c1)
+    (+) 0, falling back to +z where that vector vanishes.  Returns the pair,
+    the directions (c0, c1) and |q0 c0 - q1 c1|.
     """
-    for name, val in (("p", p), ("w0", w0), ("w1", w1)):
-        if not 0.0 <= val <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1]")
-    diff = e0.q * e0.v - e1.q * e1.v
-    n = float(np.linalg.norm(diff))
-    x0 = 1.0 + e0.r - e1.r + w0 * n
-    x1 = 1.0 + e1.r - e0.r + w1 * n
-    init_dir = _normalize_or_z(e0.q * x0 * e0.v + e1.q * x1 * e1.v)
-    post0_dir = _normalize_or_z(diff)
-    post1_dir = _normalize_or_z(-diff)
-    return (
-        BlochState(p, init_dir),
-        BlochState(w0, post0_dir),
-        BlochState(w1, post1_dir),
-    )
+    c = (_Z, np.array([math.sin(theta), 0.0, math.cos(theta)]))
+    diff = q[0] * c[0] - q[1] * c[1]
+    meas = []
+    for x, sign in ((0, 1.0), (1, -1.0)):
+        effect = np.eye(d, dtype=complex)
+        effect[:2, :2] = r[x] * np.eye(2, dtype=complex) + q[x] * np.tensordot(
+            c[x], PAULI, axes=1
+        )
+        post = _block_state(w, sign * diff, d)
+        meas.append(BinaryMeasurement(Effect(effect), post, post))
+    return ProtocolPair(*meas), c, float(np.linalg.norm(diff))
 
 
 def params_to_protocol(
     params: np.ndarray, p: float, w: float
 ) -> tuple[DensityMatrix, ProtocolPair]:
-    """Build the concrete state and measure-and-prepare pair for a kernel
-    parameter vector (r0, q0, r1, q1, theta), for cross-checking the
-    closed-form objective against the full matrix simulation."""
+    """Build the concrete state and measure-and-prepare pair for a qubit
+    search's parameter vector (r0, q0, r1, q1, theta), for cross-checking the
+    closed-form objective against the full matrix simulation.
+
+    The input has Bloch length p along q0 X0 c0 + q1 X1 c1, with
+    X_i = 1 + r_i - r_(1-i) + w |q0 c0 - q1 c1|, falling back to +z.
+    """
+    for name, val in (("p", p), ("w", w)):
+        if not 0.0 <= val <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1]")
     r0, q0, r1, q1, theta = kernels.project(0, params)
-    v0 = np.array([0.0, 0.0, 1.0])
-    v1 = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    e0 = QubitEffectParams(r0, q0, v0)
-    e1 = QubitEffectParams(r1, q1, v1)
-    init, post0, post1 = optimal_states_for_effects(e0, e1, p, w, w)
-    meas0 = BinaryMeasurement(
-        e0.to_effect(), bloch_to_density(post0), bloch_to_density(post0)
-    )
-    meas1 = BinaryMeasurement(
-        e1.to_effect(), bloch_to_density(post1), bloch_to_density(post1)
-    )
-    return bloch_to_density(init), ProtocolPair(meas0, meas1)
+    protocol, (c0, c1), n = _search_measurements((r0, r1), (q0, q1), theta, w, 2)
+    x0 = 1.0 + r0 - r1 + w * n
+    x1 = 1.0 + r1 - r0 + w * n
+    return _block_state(p, q0 * x0 * c0 + q1 * x1 * c1, 2), protocol
 
 
 def qudit_params_to_protocol(
     params: np.ndarray, d: int
 ) -> tuple[DensityMatrix, ProtocolPair]:
     """Build the maximally mixed input I/d and the measure-and-prepare pair
-    for a qudit search's parameter vector (a0, b0, a1, b1, theta).
-
-    The "+" effects are a_i(1 + b_i c_i.sigma) (+) 1_(d-2), with c0 = z and
-    c1 at angle theta from it in the x-z plane.  Both outcomes of measurement
-    0 (1) re-prepare the pure qubit-block state along +(-)(g0 c0 - g1 c1),
-    g_i = a_i b_i, falling back to +z when that vector vanishes.
-    """
+    for a qudit search's parameter vector (a0, b0, a1, b1, theta): the "+"
+    effects are a_i(1 + b_i c_i.sigma) (+) 1_(d-2), that is r_i = a_i and
+    q_i = a_i b_i, and the post states are pure."""
     if d < 2:
         raise DimensionError("d must be at least 2")
     a0, b0, a1, b1, theta = kernels.project(1, params)
-    c0 = _Z
-    c1 = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    diff = a0 * b0 * c0 - a1 * b1 * c1
-
-    def block(qubit: np.ndarray, rest: float) -> np.ndarray:
-        m = rest * np.eye(d, dtype=complex)
-        m[:2, :2] = qubit
-        return m
-
-    def measurement(a, b, c, n):
-        # n is the unit Bloch vector of the pure post state
-        effect = Effect(block(a * (np.eye(2) + b * np.tensordot(c, PAULI, axes=1)), 1.0))
-        post = DensityMatrix(block(0.5 * (np.eye(2) + np.tensordot(n, PAULI, axes=1)), 0.0))
-        return BinaryMeasurement(effect, post, post)
-
-    meas0 = measurement(a0, b0, c0, _normalize_or_z(diff))
-    meas1 = measurement(a1, b1, c1, _normalize_or_z(-diff))
-    return DensityMatrix(np.eye(d, dtype=complex) / d), ProtocolPair(meas0, meas1)
+    protocol = _search_measurements((a0, a1), (a0 * b0, a1 * b1), theta, 1.0, d)[0]
+    return DensityMatrix(np.eye(d, dtype=complex) / d), protocol
 
 
 def _search(objective, box, maxiter, restarts, seed, closed, project, attainable=None):

@@ -192,7 +192,15 @@ def concurrence_bounds_from_state(rho: DensityMatrix) -> ConcurrenceBound:
 def multipartite_concurrence_upper(n: int, local_purities: list[float]) -> float:
     """C <= 2^(1 - n/2) sqrt(2^n - 2 - sum_i P_i) for n qubit subsystems,
     computed as 2 sqrt(1 - (2 + sum_i P_i) 2^-n), in which 2^n cannot
-    overflow."""
+    overflow.
+
+    C is the multipartite concurrence of a pure n-qubit state (Carvalho,
+    Mintert and Buchleitner, PRL 93, 230501, 2004),
+    C^2 = 2^(2 - n) sum_S (1 - tr rho_S^2) over all 2^n - 2 nontrivial
+    subsystems S.  The sum of purities here covers only the n single-qubit
+    reductions, the P_i, and drops the other 2^n - n - 2 purities, which
+    are positive.  The bound is exact for n = 2 but loose for n >= 3: three
+    pure product qubits, which are not entangled, give 1.2247."""
     if n < 2:
         raise DomainError("multipartite bound requires n >= 2")
     if len(local_purities) != n:

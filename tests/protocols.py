@@ -9,8 +9,7 @@ import numpy as np
 
 from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DomainError
-from purity_witness.optimizer import QubitEffectParams
-from purity_witness.quantum import BinaryMeasurement, DensityMatrix
+from purity_witness.quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect
 from purity_witness.sequence import (
     CorrelationTable,
     ProtocolPair,
@@ -40,14 +39,11 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
-def random_qubit_effect_params(rng: np.random.Generator) -> QubitEffectParams:
+def random_qubit_measurement(rng: np.random.Generator) -> BinaryMeasurement:
     q = rng.uniform(0.0, 0.5)
     r = rng.uniform(q, 1.0 - q)
-    return QubitEffectParams(r, q, random_unit_vector(rng))
-
-
-def random_qubit_measurement(rng: np.random.Generator) -> BinaryMeasurement:
-    eff = random_qubit_effect_params(rng).to_effect()
+    v = random_unit_vector(rng)
+    eff = Effect(r * np.eye(2, dtype=complex) + q * np.tensordot(v, PAULI, axes=1))
     seed_a, seed_b = rng.integers(0, 2**31, size=2)
     return BinaryMeasurement(
         eff,

@@ -14,17 +14,20 @@ from purity_witness.optimizer import (
     MAX_RESTARTS,
     SOUNDNESS_TOL,
     OptimizationReport,
-    QubitEffectParams,
     maximize_b1_qubit,
     maximize_b1_qudit_maxmixed,
     maximize_linear_functional,
     monotonicity_sweep,
     optimal_spectrum,
-    optimal_states_for_effects,
     params_to_protocol,
     qudit_params_to_protocol,
 )
-from purity_witness.quantum import BinaryMeasurement, DensityMatrix, Effect
+from purity_witness.quantum import (
+    BinaryMeasurement,
+    DensityMatrix,
+    Effect,
+    density_to_bloch,
+)
 from purity_witness.sequence import (
     LinearFunctional,
     ProtocolPair,
@@ -34,32 +37,6 @@ from purity_witness.sequence import (
     evaluate_functional,
 )
 from purity_witness.witness import b1_max_constrained, b1_max_initial
-
-
-def test_qubit_effect_params_validation():
-    QubitEffectParams(0.5, 0.5, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DomainError):
-        QubitEffectParams(0.2, 0.5, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DomainError):
-        QubitEffectParams(0.9, 0.2, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DomainError):
-        QubitEffectParams(0.5, 0.1, np.array([0.0, 0.0, 2.0]))
-
-
-@pytest.mark.parametrize("index", [0, 1, 2])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_qubit_effect_params_reject_non_finite_direction(index, value):
-    # a NaN norm once passed the unit-norm check, which compared with ">"
-    v = np.array([1.0, 0.0, 0.0]) if index else np.array([0.0, 0.0, 1.0])
-    v[index] = value
-    with pytest.raises(DomainError, match=rf"non-finite entries at \[{index}\]$"):
-        QubitEffectParams(0.5, 0.25, v)
-
-
-def test_qubit_effect_params_effect_eigenvalues():
-    eff = QubitEffectParams(0.6, 0.3, np.array([1.0, 0.0, 0.0])).to_effect()
-    eigs = np.linalg.eigvalsh(eff.matrix)
-    np.testing.assert_allclose(eigs, [0.3, 0.9], atol=1e-12)
 
 
 def test_report_rejects_unsound_value():
@@ -102,6 +79,13 @@ def test_qubit_best_params_reproduce_value_in_matrix_simulation():
         assert b1(correlations(rho, protocol)) == pytest.approx(
             rep.best_value, abs=1e-9
         )
+        # and away from the optimum, past the box's faces
+        lo, hi = kernels.QUBIT_BOX
+        for x in np.random.default_rng(3).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
+            rho, protocol = params_to_protocol(x, p, w)
+            assert b1(correlations(rho, protocol)) == pytest.approx(
+                kernels._objective(0, x, p, w), abs=1e-12
+            )
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -122,19 +106,23 @@ def test_qudit_best_params_reproduce_value_in_matrix_simulation(d):
 
 
 def test_optimal_states_for_effects_projective_pair():
-    e0 = QubitEffectParams(0.5, 0.5, np.array([0.0, 0.0, 1.0]))
-    e1 = QubitEffectParams(0.5, 0.5, np.array([0.0, 0.0, -1.0]))
-    init, post0, post1 = optimal_states_for_effects(e0, e1, 1.0, 1.0, 1.0)
-    np.testing.assert_allclose(post0.direction, [0.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(post1.direction, [0.0, 0.0, -1.0], atol=1e-12)
+    # projective effects along +z and -z: the posts lie along +-z and the
+    # input is pure along +z
+    rho, protocol = params_to_protocol(np.array([0.5, 0.5, 0.5, 0.5, math.pi]), 1.0, 1.0)
+    for meas, z in ((protocol.meas0, 1.0), (protocol.meas1, -1.0)):
+        assert meas.post_plus is meas.post_minus
+        post = density_to_bloch(meas.post_plus)
+        np.testing.assert_allclose(post.direction, [0.0, 0.0, z], atol=1e-12)
+    init = density_to_bloch(rho)
+    np.testing.assert_allclose(init.direction, [0.0, 0.0, 1.0], atol=1e-12)
     assert init.length == 1.0
 
 
 def test_optimal_states_degenerate_effects_fall_back():
-    e = QubitEffectParams(0.5, 0.0, np.array([0.0, 0.0, 1.0]))
-    init, post0, post1 = optimal_states_for_effects(e, e, 0.5, 0.5, 0.5)
-    np.testing.assert_allclose(post0.direction, [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(init.direction, [0.0, 0.0, 1.0])
+    # q0 = q1 = 0: the post and input directions vanish and fall back to +z
+    rho, protocol = params_to_protocol(np.array([0.5, 0.0, 0.5, 0.0, 1.0]), 0.5, 0.5)
+    for state in (protocol.meas0.post_plus, protocol.meas1.post_plus, rho):
+        np.testing.assert_allclose(density_to_bloch(state).direction, [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("d,expected", [(4, 3.0), (5, 3.2), (6, 10.0 / 3.0)])

@@ -250,7 +250,6 @@ def test_measurement_holds_its_validated_minus_effect():
     _, protocol = theorem2_protocol(0.5, 0.5)
     rng = np.random.default_rng(3)
     for m in (protocol.meas0, protocol.meas1, random_qubit_protocol(rng).meas0):
-        assert m.effect_minus is m.effect_minus
         assert m.effect_minus is m.effect_plus.complement()
         np.testing.assert_array_equal(
             m.effect_minus.matrix, np.eye(2) - m.effect_plus.matrix

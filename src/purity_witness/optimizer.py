@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect
+from .quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect, _bloch_rows
 from .sequence import LinearFunctional, ProtocolPair, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
 
@@ -74,15 +74,10 @@ class OptimizationReport:
 
 def _block_state(length: float, vec: np.ndarray, d: int) -> DensityMatrix:
     """(1 + length u.sigma)/2 (+) 0_(d-2) for u the unit vector along vec, or
-    +z where vec vanishes; the qubit block is formed entry by entry as
-    ``quantum.bloch_to_density`` forms it."""
+    +z where vec vanishes; the qubit block is ``bloch_to_density``'s."""
     n = float(np.linalg.norm(vec))
-    x, y, z = (length * (_Z if n < 1e-12 else vec / n)).tolist()
     m = np.zeros((d, d), dtype=complex)
-    m[:2, :2] = [
-        [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],
-        [complex(0.5 * (0.0 + x), 0.5 * (0.0 + y)), complex(0.5 * (1.0 - z))],
-    ]
+    m[:2, :2] = _bloch_rows(*(length * (_Z if n < 1e-12 else vec / n)).tolist())
     return DensityMatrix(m)
 
 
@@ -108,6 +103,14 @@ def _search_measurements(r, q, theta, w, d):
     return ProtocolPair(*meas), c, float(np.linalg.norm(diff))
 
 
+def _search_point(kind: int, params) -> np.ndarray:
+    """``kernels.project`` of one search point, a 5-vector with a finite theta."""
+    x = np.asarray(params, dtype=float)
+    if x.shape != (5,) or not math.isfinite(x[4]):
+        raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
+    return kernels.project(kind, x)
+
+
 def params_to_protocol(
     params: np.ndarray, p: float, w: float
 ) -> tuple[DensityMatrix, ProtocolPair]:
@@ -121,7 +124,7 @@ def params_to_protocol(
     for name, val in (("p", p), ("w", w)):
         if not 0.0 <= val <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1]")
-    r0, q0, r1, q1, theta = kernels.project(0, params)
+    r0, q0, r1, q1, theta = _search_point(0, params)
     protocol, (c0, c1), n = _search_measurements((r0, r1), (q0, q1), theta, w, 2)
     x0 = 1.0 + r0 - r1 + w * n
     x1 = 1.0 + r1 - r0 + w * n
@@ -135,9 +138,9 @@ def qudit_params_to_protocol(
     for a qudit search's parameter vector (a0, b0, a1, b1, theta): the "+"
     effects are a_i(1 + b_i c_i.sigma) (+) 1_(d-2), that is r_i = a_i and
     q_i = a_i b_i, and the post states are pure."""
-    if d < 2:
-        raise DimensionError("d must be at least 2")
-    a0, b0, a1, b1, theta = kernels.project(1, params)
+    if not isinstance(d, int) or d < 2:
+        raise DimensionError(f"d must be an int of at least 2, got {d!r}")
+    a0, b0, a1, b1, theta = _search_point(1, params)
     protocol = _search_measurements((a0, a1), (a0 * b0, a1 * b1), theta, 1.0, d)[0]
     return DensityMatrix(np.eye(d, dtype=complex) / d), protocol
 

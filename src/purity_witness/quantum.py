@@ -188,19 +188,23 @@ def purity(rho: DensityMatrix) -> float:
     return min(max(p, 1.0 / d), 1.0)
 
 
-def bloch_to_density(state: BlochState) -> DensityMatrix:
-    """rho = (1 + p alpha.sigma) / 2, entry by entry on Python floats.
+def _bloch_rows(x: float, y: float, z: float) -> list[list[complex]]:
+    """The rows of (1 + r.sigma) / 2 for the Bloch vector r = (x, y, z).
 
-    The real and imaginary parts of 1 + p alpha.sigma are formed with every
-    zero +0.0 and then halved, which is bitwise what numpy's complex array
-    product 0.5 * (1 + p alpha.sigma) gives where it fuses multiply and add
+    The real and imaginary parts of 1 + r.sigma are formed with every zero
+    +0.0 and then halved, which is bitwise what numpy's complex array
+    product 0.5 * (1 + r.sigma) gives where it fuses multiply and add
     (x86-64 with FMA), signed zeros and underflow included.
     """
-    x, y, z = (state.length * state.direction).tolist()
-    return DensityMatrix(np.array([
+    return [
         [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],
         [complex(0.5 * (0.0 + x), 0.5 * (0.0 + y)), complex(0.5 * (1.0 - z))],
-    ]))
+    ]
+
+
+def bloch_to_density(state: BlochState) -> DensityMatrix:
+    """rho = (1 + p alpha.sigma) / 2, entry by entry on Python floats."""
+    return DensityMatrix(np.array(_bloch_rows(*(state.length * state.direction).tolist())))
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochState:

@@ -190,20 +190,19 @@ def theorem2_protocol(p: float, w: float) -> tuple[DensityMatrix, ProtocolPair]:
     return rho_in, ProtocolPair(meas0, meas1)
 
 
+def _basis_measurement(effect, k: int, minus: DensityMatrix) -> BinaryMeasurement:
+    """Measure ``effect`` for "+", re-preparing |k> after "+" and minus after "-"."""
+    post = DensityMatrix(_basis_projector(effect.shape[0], k))
+    return BinaryMeasurement(Effect(effect), post, minus)
+
+
 def qutrit_value4_protocol() -> tuple[DensityMatrix, ProtocolPair]:
     """A d=3 protocol with pure initial state reaching B1 = 4."""
     d = 3
     rho_in = DensityMatrix(_basis_projector(d, 0))
-    meas0 = BinaryMeasurement(
-        effect_plus=Effect(_basis_projector(d, 0) + _basis_projector(d, 1)),
-        post_plus=DensityMatrix(_basis_projector(d, 1)),
-        post_minus=_maximally_mixed(d),
-    )
-    meas1 = BinaryMeasurement(
-        effect_plus=Effect(_basis_projector(d, 0) + _basis_projector(d, 2)),
-        post_plus=DensityMatrix(_basis_projector(d, 2)),
-        post_minus=_maximally_mixed(d),
-    )
+    mixed = _maximally_mixed(d)
+    meas0 = _basis_measurement(_basis_projector(d, 0) + _basis_projector(d, 1), 1, mixed)
+    meas1 = _basis_measurement(_basis_projector(d, 0) + _basis_projector(d, 2), 2, mixed)
     return rho_in, ProtocolPair(meas0, meas1)
 
 
@@ -211,15 +210,7 @@ def qudit_maxmixed_protocol(d: int) -> tuple[DensityMatrix, ProtocolPair]:
     """Maximally mixed input protocol reaching B1 = 4(1 - 1/d) for d >= 4."""
     if d < 4:
         raise DomainError("qudit_maxmixed_protocol requires d >= 4")
-    rho_in = _maximally_mixed(d)
-    meas0 = BinaryMeasurement(
-        effect_plus=Effect(np.eye(d, dtype=complex) - _basis_projector(d, 1)),
-        post_plus=DensityMatrix(_basis_projector(d, 0)),
-        post_minus=_maximally_mixed(d),
-    )
-    meas1 = BinaryMeasurement(
-        effect_plus=Effect(np.eye(d, dtype=complex) - _basis_projector(d, 0)),
-        post_plus=DensityMatrix(_basis_projector(d, 1)),
-        post_minus=_maximally_mixed(d),
-    )
-    return rho_in, ProtocolPair(meas0, meas1)
+    mixed = _maximally_mixed(d)
+    meas0 = _basis_measurement(np.eye(d, dtype=complex) - _basis_projector(d, 1), 0, mixed)
+    meas1 = _basis_measurement(np.eye(d, dtype=complex) - _basis_projector(d, 0), 1, mixed)
+    return mixed, ProtocolPair(meas0, meas1)

@@ -1,8 +1,11 @@
-"""Random states and qubit protocols, and counts records, for the tests.
+"""Random states and qubit protocols, counts records, and a strict-JSON
+hook, for the tests.
 
 Effects satisfy 0 <= q <= r <= 1 - q; post states are random density
 matrices of rank 1 or 2.  The draws are fixed by the generator or the seed,
 so a seed gives the same states and protocols on every run.
+``reject_non_finite`` is a ``json.loads`` ``parse_constant`` that rejects
+NaN and the infinities, which strict JSON has no numbers for.
 """
 
 import numpy as np
@@ -85,3 +88,7 @@ def table_from_counts(rec: CountsRecord) -> CorrelationTable:
             for j, b in enumerate("+-"):
                 t[i, j, x, y] = rec.counts[(x, y)][a + b] / tot
     return CorrelationTable(t)
+
+
+def reject_non_finite(name):
+    raise ValueError(f"non-finite JSON number {name}")

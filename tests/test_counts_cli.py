@@ -28,7 +28,7 @@ from purity_witness.quantum import purity
 from purity_witness.sequence import b1, correlations, theorem2_protocol
 from purity_witness.witness import b1_max_constrained, b1_max_initial
 
-from protocols import exact_counts, table_from_counts
+from protocols import exact_counts, reject_non_finite, table_from_counts
 
 
 def _valid_dict(n=100):
@@ -290,10 +290,6 @@ def test_cli_certify_deeply_nested_counts_file(tmp_path, capsys):
     assert err.startswith("error:") and str(deep) in err and "nested" in err
 
 
-def _reject_non_finite(name):
-    raise ValueError(f"non-finite JSON number {name}")
-
-
 def test_cli_certify_rejects_count_above_int64(tmp_path, capsys):
     # 2.0 * n in hoeffding_width used to raise OverflowError on such a count
     data = _valid_dict()
@@ -309,7 +305,7 @@ def test_cli_certify_count_at_int64_limit_is_finite(tmp_path, capsys):
     path = tmp_path / "limit.json"
     path.write_text(json.dumps(_valid_dict(n=MAX_COUNT)))
     assert main(["certify", str(path)]) == 0
-    cert = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    cert = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)
     assert cert["b1_hat"] == 2.0
     assert 1.9 < cert["b1_lower_conf"] < 2.0
 
@@ -320,7 +316,7 @@ def test_cli_certify_smallest_deltas(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_valid_dict()))
     assert main(["certify", str(path), "--delta", "5e-308"]) == 0
-    cert = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    cert = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)
     assert cert["confidence_delta"] == 5e-308
     assert main(["certify", str(path), "--delta", "1e-320"]) == 2
     captured = capsys.readouterr()

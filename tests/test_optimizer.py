@@ -7,6 +7,7 @@ import pytest
 from purity_witness import kernels
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.optimizer import (
+    _block_state,
     _effect_from_params,
     _functional_value,
     QUBIT_GAP_TOL,
@@ -24,8 +25,10 @@ from purity_witness.optimizer import (
 )
 from purity_witness.quantum import (
     BinaryMeasurement,
+    BlochState,
     DensityMatrix,
     Effect,
+    bloch_to_density,
     density_to_bloch,
 )
 from purity_witness.sequence import (
@@ -123,6 +126,51 @@ def test_optimal_states_degenerate_effects_fall_back():
     rho, protocol = params_to_protocol(np.array([0.5, 0.0, 0.5, 0.0, 1.0]), 0.5, 0.5)
     for state in (protocol.meas0.post_plus, protocol.meas1.post_plus, rho):
         np.testing.assert_allclose(density_to_bloch(state).direction, [0.0, 0.0, 1.0])
+
+
+_POINT = [0.5, 0.2, 0.5, 0.2, 1.0]
+_MALFORMED_POINTS = [
+    _POINT[:4] + [math.inf],
+    _POINT[:4] + [-math.inf],
+    _POINT[:4],
+    [_POINT],
+    [_POINT, _POINT],
+    _POINT + [0.0],
+    [math.nan] + _POINT[1:],
+]
+_SEARCH_BUILDERS = {
+    "qubit": lambda x, d: params_to_protocol(x, 0.5, 0.5),
+    "qudit": qudit_params_to_protocol,
+}
+
+
+@pytest.mark.parametrize(
+    "builder,params,d,error",
+    [(b, x, 3, DomainError) for b in _SEARCH_BUILDERS for x in _MALFORMED_POINTS]
+    + [("qudit", _POINT, d, DimensionError) for d in (3.5, 1, True)],
+)
+def test_search_builders_reject_malformed_input_with_typed_errors(builder, params, d, error):
+    # an infinite theta, a point of the wrong shape and a d that is no
+    # dimension used to end in math, index, unpacking or numpy errors
+    with pytest.raises(error):
+        _SEARCH_BUILDERS[builder](params, d)
+
+
+def test_block_state_qubit_block_is_bloch_to_density_bytewise():
+    # the block of a search's post and input states is laid out as the Bloch
+    # codec lays it out, signed zeros and the +z fallback included
+    vecs = list(np.random.default_rng(16).normal(size=(20, 3)))
+    vecs += [np.array(v) for v in ([0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, -0.0, -0.0],
+                                   [-0.0, -1.0, 0.0], [0.0, 0.0, 0.0])]
+    for length in (0.0, 0.3, 1.0):
+        for vec in vecs:
+            n = np.linalg.norm(vec)
+            u = np.array([0.0, 0.0, 1.0]) if n < 1e-12 else vec / n
+            ref = bloch_to_density(BlochState(length, u)).matrix
+            for d in (2, 4):
+                m = _block_state(length, vec, d).matrix
+                assert m[:2, :2].tobytes() == ref.tobytes()
+                assert not m[2:].any() and not m[:, 2:].any()
 
 
 @pytest.mark.parametrize("d,expected", [(4, 3.0), (5, 3.2), (6, 10.0 / 3.0)])

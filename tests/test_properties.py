@@ -50,7 +50,7 @@ from purity_witness.witness import (
     purity_lower_bound,
 )
 
-from protocols import table_from_counts
+from protocols import reject_non_finite, table_from_counts
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -543,11 +543,7 @@ def cli_argv(draw, out_dir):
 
 
 def _strict_json(text):
-    return json.loads(text, parse_constant=_reject_non_finite)
-
-
-def _reject_non_finite(name):
-    raise ValueError(f"non-finite JSON number {name}")
+    return json.loads(text, parse_constant=reject_non_finite)
 
 
 @settings(deterministic, max_examples=300)

@@ -278,6 +278,22 @@ def test_qudit_maxmixed_values(d, expected):
     assert b1(correlations(rho, protocol)) == pytest.approx(expected, abs=1e-12)
 
 
+def test_canonical_qudit_protocols_share_one_maximally_mixed_state(monkeypatch):
+    # states are immutable, so each protocol builds and validates I/d once
+    validations = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", lambda self: validations.append(post_init(self))
+    )
+    rho, protocol = qudit_maxmixed_protocol(5)
+    assert rho is protocol.meas0.post_minus is protocol.meas1.post_minus
+    assert len(validations) == 3
+    validations.clear()
+    _, protocol = qutrit_value4_protocol()
+    assert protocol.meas0.post_minus is protocol.meas1.post_minus
+    assert len(validations) == 4
+
+
 def test_qudit_maxmixed_domain():
     with pytest.raises(DomainError):
         qudit_maxmixed_protocol(3)

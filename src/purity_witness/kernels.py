@@ -130,9 +130,10 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     in one ``(B, 4, n)`` objective call and keeps the one that the standard
     acceptance tests pick, so every row follows the one-simplex-at-a-time
     method bit for bit; a shrink evaluates its n new vertices in a second
-    call.  At ``maxiter`` a row reports its best vertex as it stands, which
-    the step leaves unsorted.  Returns (best_values, best_points), one per
-    row.
+    call.  Each step sorts the vertices stably, so tied vertices keep their
+    order on every CPU.  At ``maxiter`` a row reports its best vertex as it
+    stands, which the step leaves unsorted.  Returns (best_values,
+    best_points), one per row.
     """
     n_rows, n = x0.shape
     step = 0.1 * (hi - lo)
@@ -149,7 +150,7 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     best_x = np.empty((n_rows, n))
 
     for _ in range(maxiter):
-        order = np.argsort(vals, axis=1)
+        order = np.argsort(vals, axis=1, kind="stable")
         pts, vals = pts[gather, order], vals[gather, order]
         done = vals[:, n] - vals[:, 0] < FTOL
         if done.any():  # the vertex spread only matters where FTOL holds

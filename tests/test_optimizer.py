@@ -1,5 +1,11 @@
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,7 +404,8 @@ def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
         pts[j + 1, j] += -step if x0[j] + step > hi[j] else step
     vals = np.array([f(x) for x in pts])
     for _ in range(maxiter):
-        order = np.argsort(vals)
+        # Python's sort is stable, as the engine's is; the values are finite
+        order = sorted(range(n + 1), key=vals.__getitem__)
         pts, vals = pts[order], vals[order]
         if vals[n] - vals[0] < ftol and np.abs(pts[1:] - pts[0]).max() < xtol:
             break
@@ -481,10 +488,12 @@ def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(kind, maxiter):
 
 # objective calls of two fixed searches, by the middle axis of the array each
 # call receives: 6 the initial simplex, 4 a step's candidates, 5 a shrink's
-# new vertices; a step that calls the objective more than once shows here
+# new vertices; a step that calls the objective more than once shows here.
+# Both counts hold at every x86-64 dispatch level of numpy 2.4, since the
+# engine's stable sort fixes the order of tied vertices.
 _OBJECTIVE_CALLS = {
-    "qubit": {6: 2, 4: 427, 5: 184},
-    "qudit": {6: 2, 4: 232, 5: 144},
+    "qubit": {6: 2, 4: 427, 5: 182},
+    "qudit": {6: 2, 4: 270, 5: 158},
 }
 
 
@@ -537,21 +546,39 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 # sha256 of per_start.tobytes() + best_params.tobytes() for each search, as
 # computed with the engine's plain np.clip/take_along_axis forms; any change to
 # the arithmetic of the engine or of the objectives shows here, so a digest is
-# never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64
-# (the functional search goes through LAPACK).
+# never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64.
+# The B1 entries hold at every dispatch level, baseline x86-64 included (see
+# the test below).  The functional entry holds with AVX2 and AVX-512 only:
+# with those switched off its complex arithmetic and LAPACK calls round
+# differently, and its digest reads db7acd49c65c... instead.
 _SEARCH_DIGESTS = {
     ("qubit", 0.25, 0.25): "d93abb7db86d2c0b7ab84bc3bb03f6c5679d474d00b3e85580f42875b0e5e6f8",
-    ("qubit", 0.5, 0.75): "9e9cbaf10c7fb6b886df1d6c89cb2b87433ce94d31b608eb0ee17125880de6e6",
-    ("qubit", 1.0, 1.0): "01b59bf4e257c02582cd37cc6d97163e07e612b826ef815f3bfab803fa38378a",
-    ("qudit", 3): "bc9e20adf21be5ce2cd4ad1341678b33f3f3b94a66ca5d0f5077ff5927596baf",
-    ("qudit", 4): "a7bea11f840f5257e47672f3d5ebf5a28787885fa54348d35275cf035db209cc",
-    ("qudit", 5): "97f299918dd122440ad0b4029f912e6270af94442ef6b04b29a5bac8d5498a14",
-    ("qudit", 6): "83beda390685134f26202016b199f3eb6a95d0d0fe9a3dee06c6d3ca7b2dfaf8",
-    ("functional", 3): "bb24ba9bb906917100056decb44c98ad6efdf93902c61617893707a9f1c10008",
+    ("qubit", 0.5, 0.75): "8178de56a07aeca4163a6e59291355090469d1013878f6ffbad3f771842fc612",
+    ("qubit", 1.0, 1.0): "4d44bdb21f52db819f2deca58ef1072cd8a12fa821328b86912e0bacad2f354a",
+    ("qudit", 3): "90a261defe799cc0805e18b1b49a035ae266b46471d44e180957bccfbba42d4c",
+    ("qudit", 4): "8611bea045a14abfae11677f592e9548bc6b39f66540828f93eaed3be2e05b02",
+    ("qudit", 5): "6e7f6506a1053803b74f9ddeabce923484da087a4425ee4f38fa7c6368eacac5",
+    ("qudit", 6): "32611f5447d3d7440059e0ed7a60b3d7c2a104df71433ad72ca597382801aeb3",
+    ("functional", 3): "d024700f00af1ba1b7b333db1479b7420825f52bef53fdfdfbd12911cc6ba63b",
 }
 
+_SEARCHES = {
+    **{
+        ("qubit", p, w): lambda p=p, w=w: maximize_b1_qubit(p, w, 100, seed=0)
+        for p, w in ((0.25, 0.25), (0.5, 0.75), (1.0, 1.0))
+    },
+    **{
+        ("qudit", d): lambda d=d: maximize_b1_qudit_maxmixed(d, 20, seed=0)
+        for d in (3, 4, 5, 6)
+    },
+    ("functional", 3): lambda: maximize_linear_functional(
+        b1_weights(), 3, 0.6, restarts=2, seed=0
+    ),
+}
+_B1_SEARCHES = [key for key in _SEARCHES if key[0] != "functional"]
 
-def test_search_outputs_match_pinned_digests(monkeypatch):
+
+def _search_digests(monkeypatch, keys):
     per_start = []
     engine = kernels.multistart_maximize
 
@@ -561,25 +588,60 @@ def test_search_outputs_match_pinned_digests(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "multistart_maximize", recording)
-    searches = {
-        **{
-            ("qubit", p, w): lambda p=p, w=w: maximize_b1_qubit(p, w, 100, seed=0)
-            for p, w in ((0.25, 0.25), (0.5, 0.75), (1.0, 1.0))
-        },
-        **{
-            ("qudit", d): lambda d=d: maximize_b1_qudit_maxmixed(d, 20, seed=0)
-            for d in (3, 4, 5, 6)
-        },
-        ("functional", 3): lambda: maximize_linear_functional(
-            b1_weights(), 3, 0.6, restarts=2, seed=0
-        ),
-    }
     digests = {}
-    for key, search in searches.items():
-        rep = search()
+    for key in keys:
+        rep = _SEARCHES[key]()
         raw = per_start[-1].tobytes() + rep.best_params.tobytes()
         digests[key] = hashlib.sha256(raw).hexdigest()
-    assert digests == _SEARCH_DIGESTS
+    return digests
+
+
+def test_search_outputs_match_pinned_digests(monkeypatch):
+    assert _search_digests(monkeypatch, _SEARCHES) == _SEARCH_DIGESTS
+
+
+# runs the B1 searches of this module in a fresh interpreter; it reports the
+# numpy dispatch targets left on, so the test cannot pass without switching
+# them off
+_BASELINE_CHILD = r"""
+import importlib.util, json, sys
+import pytest
+sys.path.insert(0, sys.argv[1])
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+spec = importlib.util.spec_from_file_location("pinned_searches", sys.argv[2])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+with pytest.MonkeyPatch.context() as mp:
+    digests = module._search_digests(mp, module._B1_SEARCHES)
+print(json.dumps({
+    "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+    "digests": [digests[key] for key in module._B1_SEARCHES],
+}))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the switched-off targets are x86-64 ones",
+)
+def test_b1_search_digests_hold_at_baseline_dispatch():
+    # numpy's AVX2 and AVX-512 kernels switched off: the sort and every
+    # objective run on baseline x86-64 code, and the digests must not move
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    src = Path(kernels.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASELINE_CHILD, str(src), __file__],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["dispatch"] == []
+    assert dict(zip(_B1_SEARCHES, result["digests"])) == {
+        key: _SEARCH_DIGESTS[key] for key in _B1_SEARCHES
+    }
 
 
 @pytest.mark.parametrize("kind", [0, 1])

@@ -25,7 +25,7 @@ from .witness import (
     B1_QUBIT_MAX,
     ConcurrenceBound,
     PurityBound,
-    b1_max_initial,
+    b1_ceiling_for_purity,
     concurrence_upper_from_b1,
     postmeasurement_purity_bound,
     purity_lower_bound,
@@ -135,7 +135,7 @@ def certify(rec: CountsRecord, delta: float = 0.05) -> WitnessCertificate:
     A ceiling on B1 rejects a record only when even the confidence-adjusted
     value exceeds it: QubitAssumptionError above the qubit ceiling of 3,
     and, with a claimed initial purity P, ConsistencyError above the claim's
-    ceiling b1_max_initial(sqrt(2P - 1)) + 1e-9.  A point estimate above a
+    ceiling ``witness.b1_ceiling_for_purity(P)``.  A point estimate above a
     ceiling that is still statistically compatible with it is clamped to
     that ceiling for the point bounds.
     """
@@ -172,7 +172,7 @@ def _bounds(b1_value: float, claimed: Optional[float], clamp: bool = False):
     postmeas = None
     if claimed is not None:
         b1_post = b1_value
-        if clamp:  # the ceiling and tolerance of postmeasurement_purity_bound
-            b1_post = min(b1_value, b1_max_initial(math.sqrt(2.0 * claimed - 1.0)) + 1e-9)
+        if clamp:
+            b1_post = min(b1_value, b1_ceiling_for_purity(claimed))
         postmeas = postmeasurement_purity_bound(b1_post, claimed)
     return purity_lower_bound(b1_value), concurrence_upper_from_b1(b1_value), postmeas

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect, _bloch_rows
+from .quantum import (
+    BinaryMeasurement, DensityMatrix, Effect, _bloch_rows, pauli_dot, vector_length
+)
 from .sequence import LinearFunctional, ProtocolPair, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
 
@@ -75,7 +77,7 @@ class OptimizationReport:
 def _block_state(length: float, vec: np.ndarray, d: int) -> DensityMatrix:
     """(1 + length u.sigma)/2 (+) 0_(d-2) for u the unit vector along vec, or
     +z where vec vanishes; the qubit block is ``bloch_to_density``'s."""
-    n = float(np.linalg.norm(vec))
+    n = vector_length(vec)
     m = np.zeros((d, d), dtype=complex)
     m[:2, :2] = _bloch_rows(*(length * (_Z if n < 1e-12 else vec / n)).tolist())
     return DensityMatrix(m)
@@ -95,12 +97,10 @@ def _search_measurements(r, q, theta, w, d):
     meas = []
     for x, sign in ((0, 1.0), (1, -1.0)):
         effect = np.eye(d, dtype=complex)
-        effect[:2, :2] = r[x] * np.eye(2, dtype=complex) + q[x] * np.tensordot(
-            c[x], PAULI, axes=1
-        )
+        effect[:2, :2] = r[x] * np.eye(2) + q[x] * pauli_dot(c[x])
         post = _block_state(w, sign * diff, d)
         meas.append(BinaryMeasurement(Effect(effect), post, post))
-    return ProtocolPair(*meas), c, float(np.linalg.norm(diff))
+    return ProtocolPair(*meas), c, vector_length(diff)
 
 
 def _search_point(kind: int, params) -> np.ndarray:
@@ -287,7 +287,7 @@ def _effect_from_params(v: np.ndarray, d: int) -> np.ndarray:
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
             axis=-1,
         )
-        proj = 0.5 * (np.eye(2) + np.tensordot(direction, PAULI, axes=1))
+        proj = 0.5 * (np.eye(2) + pauli_dot(direction))
         return eigs[..., :1, None] * proj + eigs[..., 1:, None] * (np.eye(2) - proj)
     # exp(iH) = V e^(i lambda) V^dagger from the eigendecomposition of H
     lam, vec = np.linalg.eigh(_hermitian_from_params(v[..., d:], d))

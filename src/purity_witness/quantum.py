@@ -25,13 +25,22 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_SLACK = 1e-10
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+def pauli_dot(v) -> np.ndarray:
+    """v.sigma = [[z, x - iy], [x + iy, -z]] for the real 3-vectors (x, y, z)
+    on v's last axis, set from its real and imaginary entries (no BLAS)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    m = np.zeros(x.shape + (2, 2), dtype=complex)
+    m.real[..., 0, 0], m.real[..., 1, 1] = z, -z
+    m.real[..., 0, 1] = m.real[..., 1, 0] = x
+    m.imag[..., 0, 1], m.imag[..., 1, 0] = -y, y
+    return m
+
+
+PAULI = pauli_dot(np.eye(3))  # sigma_x, sigma_y, sigma_z
 
 # spin-flip operator sigma_y (x) sigma_y used by the concurrence formula
-_SIGYY = np.kron(PAULI_Y, PAULI_Y)
+_SIGYY = np.kron(PAULI[1], PAULI[1])
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -179,9 +188,22 @@ class BinaryMeasurement:
         return self.effect_plus.dim
 
 
+def trace_product(a, b) -> np.ndarray:
+    """Re tr(A B) over the last two axes of a and b (leading axes broadcast),
+    as the sum of Re A_ij Re B_ji - Im A_ij Im B_ji: no matrix product, so no
+    BLAS kernel sets its bits, and only the diagonal of A B is formed."""
+    bt = np.swapaxes(b, -1, -2)
+    return (a.real * bt.real - a.imag * bt.imag).sum(axis=(-2, -1))
+
+
+def vector_length(vec) -> float:
+    """A real vector's Euclidean length, by math.hypot (no BLAS dot product)."""
+    return math.hypot(*np.ravel(vec).tolist())
+
+
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), clamped to [1/d, 1]."""
-    p = float(np.trace(rho.matrix @ rho.matrix).real)
+    p = float(trace_product(rho.matrix, rho.matrix))
     d = rho.dim
     if p < 1.0 / d - PSD_SLACK or p > 1.0 + PSD_SLACK:
         raise DomainError(f"computed purity {p} outside [1/{d}, 1] beyond slack")
@@ -211,8 +233,8 @@ def density_to_bloch(rho: DensityMatrix) -> BlochState:
     """Inverse Bloch decomposition; zero vectors map to direction +z."""
     if rho.dim != 2:
         raise DimensionError("Bloch decomposition requires a qubit state")
-    vec = np.array([np.trace(rho.matrix @ s).real for s in PAULI])
-    p = float(np.linalg.norm(vec))
+    vec = trace_product(rho.matrix, PAULI)
+    p = vector_length(vec)
     if p < 1e-12:
         return BlochState(0.0, np.array([0.0, 0.0, 1.0]))
     return BlochState(min(p, 1.0), vec / p)

@@ -6,9 +6,10 @@ where rho_{a|x} is the state re-prepared by measurement x after outcome a.
 A protocol stores its effects E_{a|x} and post states rho_{a|x} as stacked,
 read-only (2, 2, d, d) arrays indexed [setting, outcome], built once from
 measurements that were validated on construction, so a simulation validates
-nothing but the resulting table and computes all 16 probabilities with two
-stacked matrix products.  Probability-zero first-step branches simply
-contribute 0; no conditional probability is ever formed by division.
+nothing but the resulting table and computes all 16 probabilities from two
+stacked ``quantum.trace_product`` calls.  Probability-zero first-step
+branches simply contribute 0; no conditional probability is ever formed by
+division.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .quantum import (
     Effect,
     bloch_to_density,
     check_finite,
+    trace_product,
 )
 
 _IDX = {"+": 0, "-": 1}
@@ -118,22 +120,15 @@ def correlations(rho_in: DensityMatrix, protocol: ProtocolPair) -> CorrelationTa
     """Simulate all 16 two-step probabilities for a state and protocol."""
     if rho_in.dim != protocol.dim:
         raise DimensionError("state and protocol dimensions differ")
-    effects = protocol.effects
-    # first[x, a] = tr(E_{a|x} rho_in); second[x, a, y, b] = tr(E_{b|y} rho_{a|x})
-    first = _traces(effects @ rho_in.matrix)
-    second = _traces(effects @ protocol.posts[:, :, None, None])
+    # first[x, a] = tr(E_{a|x} rho_in); second[x, a, y, b] = tr(E_{b|y} rho_{a|x}),
+    # clipped to [0, 1] bit for bit as np.clip clips: np.clip keeps tr on a tie
+    # with 0 (-0.0 stays -0.0), and np.maximum and np.minimum take their 2nd operand
+    first, second = (
+        np.minimum(np.maximum(0.0, trace_product(protocol.effects, m)), 1.0)
+        for m in (rho_in.matrix, protocol.posts[:, :, None, None])
+    )
     t = first[:, :, None, None] * second
     return CorrelationTable(np.ascontiguousarray(t.transpose(1, 3, 0, 2)))
-
-
-def _traces(stack: np.ndarray) -> np.ndarray:
-    """Real parts of the traces of a stack of matrices, clipped to [0, 1].
-
-    np.clip(tr, 0, 1) keeps tr on a tie with 0 (a -0.0 stays -0.0), and
-    np.maximum and np.minimum take their 2nd operand on a tie, so this is
-    np.clip bit for bit without its Python-level wrapper.
-    """
-    return np.minimum(np.maximum(0.0, stack.trace(axis1=-2, axis2=-1).real), 1.0)
 
 
 def b1(table: CorrelationTable) -> float:

@@ -75,6 +75,11 @@ def b1_max_initial(p: float) -> float:
     return 0.5 * (5.0 + p)
 
 
+def b1_ceiling_for_purity(initial_purity: float) -> float:
+    """The largest B1 an initial purity P allows: b1_max_initial(sqrt(2P - 1)) + 1e-9."""
+    return b1_max_initial(math.sqrt(2.0 * initial_purity - 1.0)) + 1e-9
+
+
 def b1_threshold(p: float) -> float:
     """Post-measurement Bloch length below which only B1 = 2 is possible."""
     _check_unit("p", p)
@@ -124,14 +129,14 @@ def postmeasurement_purity_bound(b1_exp: float, initial_purity: float) -> Purity
     _check_b1_range(b1_exp)
     if not 0.5 <= initial_purity <= 1.0:
         raise DomainError("initial purity must lie in [1/2, 1]")
-    p = math.sqrt(2.0 * initial_purity - 1.0)
-    if b1_exp > b1_max_initial(p) + 1e-9:
+    if b1_exp > b1_ceiling_for_purity(initial_purity):
         raise ConsistencyError(
             f"B1 = {b1_exp} is impossible for initial purity {initial_purity}"
         )
     if b1_exp <= 2.0:
         return PurityBound(purity_lower=0.5, bloch_lower=0.0, trivial=True)
     pp = initial_purity
+    p = math.sqrt(2.0 * pp - 1.0)
     denom = 4.0 + pp + 3.0 * p
     w_purity = (
         14.0 + 4.0 * b1_exp**2 + pp + 5.0 * p - 2.0 * b1_exp * (7.0 + p)

@@ -3,7 +3,9 @@ hook, for the tests.
 
 Effects satisfy 0 <= q <= r <= 1 - q; post states are random density
 matrices of rank 1 or 2.  The draws are fixed by the generator or the seed,
-so a seed gives the same states and protocols on every run.
+so a seed gives the same states and protocols on every run; they are built
+from real and imaginary parts without BLAS, so their bits do not depend on
+the CPU either.
 ``reject_non_finite`` is a ``json.loads`` ``parse_constant`` that rejects
 NaN and the infinities, which strict JSON has no numbers for.
 """
@@ -12,7 +14,13 @@ import numpy as np
 
 from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DomainError
-from purity_witness.quantum import PAULI, BinaryMeasurement, DensityMatrix, Effect
+from purity_witness.quantum import (
+    BinaryMeasurement,
+    DensityMatrix,
+    Effect,
+    pauli_dot,
+    vector_length,
+)
 from purity_witness.sequence import (
     CorrelationTable,
     ProtocolPair,
@@ -26,19 +34,26 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     if not 1 <= rank <= dim:
         raise DomainError("rank must satisfy 1 <= rank <= dim")
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
+    re, im = rng.normal(size=(dim, rank)), rng.normal(size=(dim, rank))
+
+    def gram(u, v):  # u v^T, summed over the rank axis entry by entry
+        return (u[:, None, :] * v[None, :, :]).sum(axis=-1)
+
+    # G G^dagger for G = re + i im, exactly Hermitian
+    m_re = gram(re, re) + gram(im, im)
+    m_im = gram(im, re) - gram(re, im)
+    tr = np.trace(m_re)
+    m = (m_re / tr).astype(complex)
+    m.imag = m_im / tr
     return DensityMatrix(m)
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    n = np.linalg.norm(v)
+    n = vector_length(v)
     while n < 1e-12:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = vector_length(v)
     return v / n
 
 
@@ -46,7 +61,7 @@ def random_qubit_measurement(rng: np.random.Generator) -> BinaryMeasurement:
     q = rng.uniform(0.0, 0.5)
     r = rng.uniform(q, 1.0 - q)
     v = random_unit_vector(rng)
-    eff = Effect(r * np.eye(2, dtype=complex) + q * np.tensordot(v, PAULI, axes=1))
+    eff = Effect(r * np.eye(2, dtype=complex) + q * pauli_dot(v))
     seed_a, seed_b = rng.integers(0, 2**31, size=2)
     return BinaryMeasurement(
         eff,

@@ -97,6 +97,7 @@ def test_hoeffding_width_values():
             ),
             "total count 0",
         ),
+        (lambda d: d["settings"][0].update(counts=[1, 2, 3, 4]), "'counts' must be an object"),
     ],
 )
 def test_counts_validation_messages(mutate, fragment):
@@ -124,6 +125,14 @@ def test_ingest_reports_json_position(tmp_path):
     with pytest.raises(CountsFormatError) as exc:
         ingest_counts(str(path))
     assert "line 2" in str(exc.value)
+
+
+def test_ingest_rejects_an_integer_longer_than_the_conversion_limit(tmp_path):
+    # json.load raises a plain ValueError for it, not a JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_valid_dict()).replace('"++": 100', '"++": 1' + "0" * 5000, 1))
+    with pytest.raises(CountsFormatError, match="unreadable JSON"):
+        ingest_counts(str(path))
 
 
 def test_certificate_fields_and_digest_stability():

@@ -36,6 +36,7 @@ from purity_witness.quantum import (
     Effect,
     bloch_to_density,
     density_to_bloch,
+    vector_length,
 )
 from purity_witness.sequence import (
     LinearFunctional,
@@ -162,6 +163,12 @@ def test_search_builders_reject_malformed_input_with_typed_errors(builder, param
         _SEARCH_BUILDERS[builder](params, d)
 
 
+@pytest.mark.parametrize("p,w", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5), (0.5, math.nan)])
+def test_params_to_protocol_rejects_p_and_w_outside_the_unit_interval(p, w):
+    with pytest.raises(DomainError):
+        params_to_protocol(_POINT, p, w)
+
+
 def test_block_state_qubit_block_is_bloch_to_density_bytewise():
     # the block of a search's post and input states is laid out as the Bloch
     # codec lays it out, signed zeros and the +z fallback included
@@ -170,7 +177,7 @@ def test_block_state_qubit_block_is_bloch_to_density_bytewise():
                                    [-0.0, -1.0, 0.0], [0.0, 0.0, 0.0])]
     for length in (0.0, 0.3, 1.0):
         for vec in vecs:
-            n = np.linalg.norm(vec)
+            n = vector_length(vec)
             u = np.array([0.0, 0.0, 1.0]) if n < 1e-12 else vec / n
             ref = bloch_to_density(BlochState(length, u)).matrix
             for d in (2, 4):
@@ -548,9 +555,12 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 # the arithmetic of the engine or of the objectives shows here, so a digest is
 # never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64.
 # The B1 entries hold at every dispatch level, baseline x86-64 included (see
-# the test below).  The functional entry holds with AVX2 and AVX-512 only:
-# with those switched off its complex arithmetic and LAPACK calls round
-# differently, and its digest reads db7acd49c65c... instead.
+# the test below), and under any OpenBLAS kernel, since the B1 searches call
+# no BLAS or LAPACK.  The functional search's eigh/eigvalsh calls follow the
+# OpenBLAS kernel and its complex arithmetic the dispatch level, so its digest
+# is pinned apart, under the Haswell kernel, which every x86-64 CPU with AVX2
+# can run: it read d024700f00af... under the AVX-512 kernel, 0da971a6e8a4...
+# under Prescott, and db7acd49c65c... at baseline dispatch.
 _SEARCH_DIGESTS = {
     ("qubit", 0.25, 0.25): "d93abb7db86d2c0b7ab84bc3bb03f6c5679d474d00b3e85580f42875b0e5e6f8",
     ("qubit", 0.5, 0.75): "8178de56a07aeca4163a6e59291355090469d1013878f6ffbad3f771842fc612",
@@ -559,8 +569,8 @@ _SEARCH_DIGESTS = {
     ("qudit", 4): "8611bea045a14abfae11677f592e9548bc6b39f66540828f93eaed3be2e05b02",
     ("qudit", 5): "6e7f6506a1053803b74f9ddeabce923484da087a4425ee4f38fa7c6368eacac5",
     ("qudit", 6): "32611f5447d3d7440059e0ed7a60b3d7c2a104df71433ad72ca597382801aeb3",
-    ("functional", 3): "d024700f00af1ba1b7b333db1479b7420825f52bef53fdfdfbd12911cc6ba63b",
 }
+_FUNCTIONAL_HASWELL_DIGEST = "f7a9d242943ce4b8a16000ded1932b6506840ea7fe91e99f1dbd747cc5676006"
 
 _SEARCHES = {
     **{
@@ -597,13 +607,13 @@ def _search_digests(monkeypatch, keys):
 
 
 def test_search_outputs_match_pinned_digests(monkeypatch):
-    assert _search_digests(monkeypatch, _SEARCHES) == _SEARCH_DIGESTS
+    assert _search_digests(monkeypatch, _B1_SEARCHES) == _SEARCH_DIGESTS
 
 
-# runs the B1 searches of this module in a fresh interpreter; it reports the
-# numpy dispatch targets left on, so the test cannot pass without switching
-# them off
-_BASELINE_CHILD = r"""
+# runs the searches of this module named in argv[3] (a JSON list of keys) in a
+# fresh interpreter; it reports the numpy dispatch targets left on, so a test
+# cannot pass without switching them off
+_SEARCH_CHILD = r"""
 import importlib.util, json, sys
 import pytest
 sys.path.insert(0, sys.argv[1])
@@ -611,37 +621,67 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 spec = importlib.util.spec_from_file_location("pinned_searches", sys.argv[2])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
+keys = [tuple(key) for key in json.loads(sys.argv[3])]
 with pytest.MonkeyPatch.context() as mp:
-    digests = module._search_digests(mp, module._B1_SEARCHES)
+    digests = module._search_digests(mp, keys)
 print(json.dumps({
     "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
-    "digests": [digests[key] for key in module._B1_SEARCHES],
+    "digests": [digests[key] for key in keys],
 }))
 """
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"),
-    reason="the switched-off targets are x86-64 ones",
-)
-def test_b1_search_digests_hold_at_baseline_dispatch():
-    # numpy's AVX2 and AVX-512 kernels switched off: the sort and every
-    # objective run on baseline x86-64 code, and the digests must not move
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+def _run_searches(keys, env):
     src = Path(kernels.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _BASELINE_CHILD, str(src), __file__],
+        [sys.executable, "-c", _SEARCH_CHILD, str(src), __file__, json.dumps(keys)],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env={**os.environ, **env},
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["dispatch"] == []
-    assert dict(zip(_B1_SEARCHES, result["digests"])) == {
-        key: _SEARCH_DIGESTS[key] for key in _B1_SEARCHES
-    }
+    return result["dispatch"], dict(zip(keys, result["digests"]))
+
+
+_ON_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not _ON_X86_64, reason="the switched-off targets are x86-64 ones")
+def test_b1_search_digests_hold_at_baseline_dispatch():
+    # numpy's AVX2 and AVX-512 kernels switched off: the sort and every
+    # objective run on baseline x86-64 code, and the digests must not move
+    dispatch, digests = _run_searches(
+        _B1_SEARCHES, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    )
+    assert dispatch == []
+    assert digests == _SEARCH_DIGESTS
+
+
+def _has_x86_v3() -> bool:
+    # numpy's AVX2 level: AVX2, FMA3 and their companions
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("X86_V3"))
+
+
+@pytest.mark.skipif(
+    not (_ON_X86_64 and _has_x86_v3()),
+    reason="the Haswell kernel and numpy's AVX2 targets need an x86-64 CPU with AVX2",
+)
+@pytest.mark.parametrize(
+    "disabled", ["", "X86_V4 AVX512_ICL AVX512_SPR"], ids=["default_dispatch", "avx2_dispatch"]
+)
+def test_functional_search_digest_pinned_under_haswell_kernel(disabled):
+    # OpenBLAS's Haswell kernel forced, at numpy's default dispatch and with
+    # its AVX-512 targets switched off
+    dispatch, digests = _run_searches(
+        [("functional", 3)], {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": disabled}
+    )
+    if disabled:
+        assert dispatch == ["X86_V3"]
+    assert digests == {("functional", 3): _FUNCTIONAL_HASWELL_DIGEST}
 
 
 @pytest.mark.parametrize("kind", [0, 1])

@@ -140,3 +140,5 @@ def test_every_export_resolves_to_its_submodule():
         assert getattr(purity_witness, name) is getattr(source, name)
     with pytest.raises(AttributeError):
         purity_witness.not_an_export
+    # dir() lists every export, resolved or not, beside the module's globals
+    assert dir(purity_witness) == sorted(set(vars(purity_witness)) | set(purity_witness.__all__))

@@ -7,9 +7,11 @@ directory.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -32,7 +34,7 @@ from purity_witness.counts import (
     ingest_counts,
 )
 from purity_witness.errors import CountsFormatError, DomainError
-from purity_witness import certificate, kernels, quantum, sequence
+from purity_witness import certificate, kernels, quantum
 from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
 from purity_witness.quantum import (
@@ -328,8 +330,10 @@ def test_certificate_writer_rejects_what_json_rejects():
             json.dumps({"k": value}, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             certificate._json_text({"k": value})
-    # a float subclass is written as the float it holds
-    tree = {"k": np.float64(0.1), "z": np.float64(-0.0)}
+    # a float subclass is written as the float it holds, and the non-finite
+    # floats as json spells them
+    tree = {"k": np.float64(0.1), "z": np.float64(-0.0), "n": math.nan, "p": math.inf,
+            "m": -math.inf}
     assert certificate._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
@@ -393,10 +397,22 @@ trace_entries = st.complex_numbers(max_magnitude=2.0) | st.sampled_from(
 
 
 @settings(deterministic, max_examples=300)
-@given(arrays(complex, (2, 2, 2, 2), elements=trace_entries))
-def test_traces_clip_bitwise_as_np_clip(stack):
-    ref = np.clip(np.trace(stack, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    assert sequence._traces(stack).tobytes() == ref.tobytes()
+@given(
+    arrays(complex, (2, 2, 2, 2), elements=trace_entries),
+    arrays(complex, (2, 2), elements=trace_entries),
+)
+def test_trace_product_is_the_per_entry_sum(stack, b):
+    # bitwise, signed zeros included: Re A_ij Re B_ji - Im A_ij Im B_ji added
+    # to 0.0 left to right over i, then j, on Python floats, for every A of
+    # the stack
+    bt = b.T.ravel().tolist()
+    ref = [
+        functools.reduce(
+            operator.add, (x.real * y.real - x.imag * y.imag for x, y in zip(a.tolist(), bt)), 0.0
+        )
+        for a in stack.reshape(-1, 4)
+    ]
+    assert quantum.trace_product(stack, b).tobytes() == np.array(ref).reshape(2, 2).tobytes()
 
 
 @st.composite

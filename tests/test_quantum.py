@@ -3,6 +3,7 @@ import pytest
 
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.quantum import (
+    PAULI,
     BlochState,
     DensityMatrix,
     Effect,
@@ -10,7 +11,10 @@ from purity_witness.quantum import (
     bloch_to_density,
     density_to_bloch,
     partial_trace,
+    pauli_dot,
     purity,
+    trace_product,
+    vector_length,
     wootters_concurrence,
 )
 
@@ -40,6 +44,27 @@ def test_purity_bloch_relation_random_directions():
         p = rng.uniform(0.0, 1.0)
         rho = bloch_to_density(BlochState(p, v))
         assert purity(rho) == pytest.approx(0.5 * (1 + p * p), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_trace_product_is_the_trace_of_the_matrix_product(d):
+    # within a bound set from float64's epsilon, since the products are added
+    # in another order than a matrix product adds them; d = 9 sums pairwise
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ref = np.trace(a @ b, axis1=-2, axis2=-1).real
+    bound = 4 * d * d * np.finfo(float).eps * (np.abs(a) * np.abs(b.T)).sum(axis=(-2, -1))
+    assert np.all(np.abs(trace_product(a, b) - ref) <= bound)
+
+
+def test_pauli_dot_and_vector_length_match_their_blas_forms():
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(4, 5, 3))
+    # each entry of v.sigma is one coordinate or its negative, so equal exactly
+    assert np.array_equal(pauli_dot(v), np.tensordot(v, PAULI, axes=1))
+    for u in v.reshape(-1, 3):
+        assert vector_length(u) == pytest.approx(np.linalg.norm(u), rel=4 * np.finfo(float).eps)
 
 
 def test_density_matrix_rejects_empty():
@@ -84,6 +109,21 @@ def test_bloch_roundtrip():
         assert s.length == pytest.approx(p, abs=1e-12)
         if p > 1e-9:
             np.testing.assert_allclose(s.direction, v, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "length,direction",
+    [
+        (0.5, [0.0, 1.0]),
+        (0.5, [[0.0, 0.0, 1.0]]),
+        (-0.1, [0.0, 0.0, 1.0]),
+        (1.1, [0.0, 0.0, 1.0]),
+        (np.nan, [0.0, 0.0, 1.0]),
+    ],
+)
+def test_bloch_state_rejects_malformed_direction_or_length(length, direction):
+    with pytest.raises(DomainError):
+        BlochState(length, np.array(direction))
 
 
 def test_density_to_bloch_zero_vector_convention():
@@ -142,6 +182,8 @@ def test_partial_trace_tensor_factors():
 def test_partial_trace_dim_check():
     with pytest.raises(DimensionError):
         partial_trace(DensityMatrix(np.eye(2) / 2), "A")
+    with pytest.raises(DomainError):
+        partial_trace(DensityMatrix(PHI_PLUS), "C")
 
 
 def test_concurrence_maximally_entangled():

@@ -1,4 +1,10 @@
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from purity_witness.quantum import (
     BinaryMeasurement,
     DensityMatrix,
     Effect,
+    trace_product,
 )
 from purity_witness.sequence import (
     CorrelationTable,
@@ -94,6 +101,11 @@ def test_dimension_mismatch_rejected():
     _, protocol = qutrit_value4_protocol()
     with pytest.raises(DimensionError):
         correlations(DensityMatrix(np.eye(2) / 2), protocol)
+    qubit, qutrit = DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(DimensionError):
+        BinaryMeasurement(Effect(np.eye(2)), qubit, qutrit)
+    with pytest.raises(DimensionError):
+        ProtocolPair(_deterministic_plus_protocol().meas0, protocol.meas0)
 
 
 def test_evaluate_functional_b1_pattern_matches_b1():
@@ -112,9 +124,13 @@ def test_evaluate_functional_all_ones_gives_four():
 
 
 def test_zero_functional_rejected():
-    # the type requires at least one nonzero weight
+    # the type requires finite weights of shape (2, 2, 2, 2), one of them
+    # nonzero
     with pytest.raises(DomainError):
         LinearFunctional(np.zeros((2, 2, 2, 2)))
+    for weights in (np.ones((2, 2, 2)), np.full((2, 2, 2, 2), np.inf)):
+        with pytest.raises(DomainError):
+            LinearFunctional(weights)
 
 
 def test_theorem2_closed_form_grid():
@@ -192,18 +208,19 @@ def test_qutrit_ceiling_over_random_protocols_on_maximally_mixed_input():
 
 
 def _reference_table(rho_in, protocol) -> np.ndarray:
-    """The per-entry simulation loop: one trace per probability."""
+    """The per-entry simulation loop: one trace_product of two matrices per
+    probability."""
     t = np.empty((2, 2, 2, 2))
     pairs = (protocol.meas0, protocol.meas1)
     for x, mx in enumerate(pairs):
         for i, (eff, post) in enumerate(
             ((mx.effect_plus, mx.post_plus), (mx.effect_minus, mx.post_minus))
         ):
-            p_first = float(np.trace(eff.matrix @ rho_in.matrix).real)
+            p_first = float(trace_product(eff.matrix, rho_in.matrix))
             p_first = min(max(p_first, 0.0), 1.0)
             for y, my in enumerate(pairs):
                 for j, eff_b in enumerate((my.effect_plus, my.effect_minus)):
-                    p_second = float(np.trace(eff_b.matrix @ post.matrix).real)
+                    p_second = float(trace_product(eff_b.matrix, post.matrix))
                     p_second = min(max(p_second, 0.0), 1.0)
                     t[i, j, x, y] = p_first * p_second
     return t
@@ -321,6 +338,8 @@ def test_correlation_table_validation():
     bad[0, 0, 0, 0] = 0.5  # slice (0,0) now sums to 1.25
     with pytest.raises(DomainError):
         CorrelationTable(bad)
+    with pytest.raises(DomainError, match="shape"):
+        CorrelationTable(np.full((4, 4), 0.25))
 
 
 @pytest.mark.parametrize("index", [(0, 0, 0, 0), (1, 0, 1, 1)])
@@ -334,10 +353,15 @@ def test_correlation_table_rejects_non_finite_entries(index, value):
 
 # sha256 of the correlation tables' bytes (signed zeros included) and of the
 # certificate texts; computed before the simulation and certificate paths
-# moved to Python floats, for numpy 2.4 on x86-64
+# moved to Python floats, for numpy 2.4 on x86-64.  The random qubit entry was
+# taken again when correlations() and the random inputs stopped using BLAS:
+# its traces now sum entry products in a fixed order, which moved no table
+# entry by more than 3.3e-16, and the old value held only under OpenBLAS's
+# AVX-512 kernel.  Every entry holds under any OpenBLAS kernel (see the test
+# below).
 _SIMULATION_DIGESTS = {
     "theorem2 grid": "fcf0f23fb51711059d189ffb7393af233a263a1f525d9f3c00aecf0ad292bac2",
-    "random qubit": "18b858fd8f286911836995c1ca51aef194d8340fd653c8404c97f112c8ce9e21",
+    "random qubit": "9cc2910bd8f37b60eb4b6ec928654b2203d50b3ac28a6b4f546b9b278cb2b34b",
     "qutrit value4": "e49acf22a623633e4333163d2221b3b1fc019bcedc905908afde38fe3e9d9b78",
     "qudit maxmixed": "62214a331d56364f3c88530109270540022fbc49fcec7454e4809862484308a8",
     "certificate claim": "51e58417664626684da5c546d19105b5ceb60e33d81e8ee7c96f601d5ce50c1c",
@@ -362,7 +386,7 @@ def _random_qubit_cases():
         yield rho, protocol
 
 
-def test_simulation_and_certificate_match_pinned_digests():
+def _simulation_digests():
     axis = np.linspace(0.0, 1.0, 11)
     digests = {
         # p = 0 and w = 0 give signed zeros in the Bloch vectors
@@ -386,4 +410,59 @@ def test_simulation_and_certificate_match_pinned_digests():
     ):
         text = certify(CountsRecord(label, claim, counts), delta=0.05).to_json()
         digests["certificate " + key] = hashlib.sha256(text.encode()).hexdigest()
-    assert digests == _SIMULATION_DIGESTS
+    return digests
+
+
+def test_simulation_and_certificate_match_pinned_digests():
+    assert _simulation_digests() == _SIMULATION_DIGESTS
+
+
+# computes _simulation_digests in a fresh interpreter, with the name of the
+# OpenBLAS kernel it runs where numpy's bundled OpenBLAS reports it
+_KERNEL_CHILD = r"""
+import ctypes, glob, json, os, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+import test_sequence
+libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+print(json.dumps({
+    "core": corename and corename().decode(),
+    "digests": test_sequence._simulation_digests(),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the forced OpenBLAS kernels are x86-64 ones",
+)
+def test_simulation_digests_hold_under_every_openblas_kernel():
+    # Prescott runs on every x86-64 CPU; Haswell and SkylakeX only where the
+    # CPU has AVX2 and AVX-512, so no kernel is forced on a CPU that lacks it
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    kernels = ["Prescott"] + [
+        kernel
+        for kernel, feature in (("Haswell", "AVX2"), ("SkylakeX", "AVX512F"))
+        if __cpu_features__[feature]
+    ]
+    here = Path(__file__).resolve().parent
+    cores = []
+    for kernel in kernels:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD, str(here.parent / "src"), str(here)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["digests"] == _SIMULATION_DIGESTS, kernel
+        cores.append(result["core"])
+    # each forced kernel is a different one, where the kernel can be named
+    if None not in cores:
+        assert len(set(cores)) == len(cores), cores

@@ -6,7 +6,9 @@ import pytest
 from purity_witness.errors import ConsistencyError, DomainError, QubitAssumptionError
 from purity_witness.quantum import DensityMatrix, wootters_concurrence
 from purity_witness.witness import (
+    ConcurrenceBound,
     ConcurrenceSource,
+    PurityBound,
     b1_max_constrained,
     b1_max_initial,
     b1_threshold,
@@ -139,6 +141,21 @@ def test_postmeasurement_bound_purity_domain():
         postmeasurement_purity_bound(2.5, 0.4)
     with pytest.raises(DomainError):
         postmeasurement_purity_bound(2.5, 1.1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PurityBound(purity_lower=0.6, bloch_lower=0.0, trivial=False),
+        lambda: ConcurrenceBound(upper=1.5, source=ConcurrenceSource.TEMPORAL),
+        lambda: ConcurrenceBound(upper=0.5, source=ConcurrenceSource.GLOBAL_LOCAL, lower=-0.1),
+        lambda: ConcurrenceBound(upper=0.5, source=ConcurrenceSource.GLOBAL_LOCAL, lower=0.6),
+    ],
+    ids=["purity_not_bloch", "upper_above_one", "lower_below_zero", "lower_above_upper"],
+)
+def test_bounds_reject_inconsistent_fields(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_robustness_penalty_linear_form():

@@ -1,6 +1,6 @@
-"""Hot numeric kernels: closed-form B1 objectives and a multistart simplex.
+"""Hot numeric kernels: the closed-form B1 objective and a multistart simplex.
 
-Everything here is plain numpy.  The objectives broadcast over any leading
+Everything here is plain numpy.  The objective broadcasts over any leading
 axes (scalar calls work too).  The simplex search maximizes any objective
 callable that broadcasts over a ``(..., n)`` population; it advances every
 restart of a multistart search together as one ``(B, n + 1, n)`` array, so a
@@ -10,12 +10,11 @@ per restart.  Each iteration builds the four points a simplex may move to
 ``(B, 4, n)`` array and evaluates them with one objective call; only a
 shrink calls the objective again.
 
-Objective kinds:
-  0 -- qubit B1 for effect parameters (r0, q0, r1, q1, theta) with the
-       analytically optimal initial/post states at Bloch lengths (p, w);
-  1 -- qudit B1 for the block parametrization (a0, b0, a1, b1, theta) on the
-       maximally mixed input of dimension d, pure post states in the
-       two-dimensional subspace.
+Both B1 searches share one objective, over the block effects
+E_(+|x) = a_x(1 + b_x c_x.sigma) (+) 1_(d-2) with parameters
+(a0, b0, a1, b1, theta) and the analytically optimal states in the qubit
+block.  The qubit search calls it at d = 2, the maximally mixed qudit search
+at p = 0 and w = 1.
 
 Parameters are projected onto their constraint set (``project``) inside the
 objective, so the simplex search runs over a plain box.  Numpy calls, not
@@ -37,87 +36,60 @@ BACKEND = "numpy"
 FTOL = 1e-12
 XTOL = 1e-10
 
-# (lo, hi) search boxes over the constraint sets that ``project`` enforces
-QUBIT_BOX = (np.zeros(5), np.array([1.0, 0.5, 1.0, 0.5, math.pi]))
-QUDIT_BOX = (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi]))
+# (lo, hi) search box over the constraint set that ``project`` enforces
+BOX = (np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, math.pi]))
 
 # expansion goes twice, a contraction half the way from the centroid to the
 # reflection (expansion, outside contraction) or to the worst vertex (inside)
 _TRIAL_STEPS = np.array([[2.0], [0.5], [0.5]])
 
 
-def project(kind, params):
-    """Project kernel parameters (last axis of size 5) onto their constraints.
+def project(params):
+    """Project B1 search parameters (last axis of size 5) onto their constraints.
 
-    Kind 0 clips each (r, q) pair to 0 <= q <= r <= 1 - q, kind 1 each
-    (a, b) pair to 0 <= b <= 1 and 0 <= a <= 1/(1 + b); theta is kept.  The
-    projection is idempotent, so a projected point has the same objective
-    value as the point it came from.  Entries match a batched np.clip bitwise.
+    Each (a, b) pair is clipped to 0 <= b <= 1 and 0 <= a <= 1/(1 + b);
+    theta is kept.  The projection is idempotent, so a projected point has
+    the same objective value as the point it came from.  Entries match a
+    batched np.clip bitwise.
     """
-    return np.stack(_projected_columns(kind, params), axis=-1)
+    return np.stack(_projected_columns(params), axis=-1)
 
 
-def _projected_columns(kind, params):
-    # np.clip(r, 0, 1) keeps r on a tie with 0, and np.clip(q, 0, hi) over a
+def _projected_columns(params):
+    # np.clip(b, 0, 1) keeps b on a tie with 0, and np.clip(a, 0, hi) over a
     # batch takes the bound; np.maximum and np.minimum take their 2nd operand
     x = np.asarray(params, dtype=float)
     cols = [x[..., 0], x[..., 1], x[..., 2], x[..., 3], x[..., 4]]
     for i in (0, 2):
-        if kind == 0:
-            r = cols[i] = np.minimum(np.maximum(0.0, cols[i]), 1.0)
-            cols[i + 1] = np.minimum(np.maximum(cols[i + 1], 0.0), np.minimum(r, 1.0 - r))
-        else:
-            b = cols[i + 1] = np.minimum(np.maximum(0.0, cols[i + 1]), 1.0)
-            cols[i] = np.minimum(np.maximum(cols[i], 0.0), 1.0 / (1.0 + b))
+        b = cols[i + 1] = np.minimum(np.maximum(0.0, cols[i + 1]), 1.0)
+        cols[i] = np.minimum(np.maximum(cols[i], 0.0), 1.0 / (1.0 + b))
     return cols
 
 
-def b1_qubit_objective(r0, q0, r1, q1, theta, p, w):
-    """B1 for qubit effects E_+|x = r_x 1 + q_x v_x.sigma and optimal states.
+def _objective(params, p, w, d):
+    """B1 at params (..., 5), projected, for the input
+    (2/d)(1 + p n.sigma)/2 (+) 1_(d-2)/d with n optimal and post states of
+    Bloch length w in the qubit block; c0 = z and c1 at angle theta.
 
-    v0, v1 lie in the x-z plane with angle theta between them.  The initial
-    and post-measurement Bloch vectors are the analytically optimal ones for
-    lengths p and w.  Parameters are projected onto 0 <= q <= r <= 1 - q.
-    All arguments broadcast.
+    With q_x = a_x b_x and X_x = 1 + a_x - a_(1-x) + w |q0 c0 - q1 c1|,
+    B1 = sum_x (2 a_x + d - 2)/d X_x + (2/d) p |q0 X0 c0 + q1 X1 c1|.
+    p, w and d broadcast against the leading axes of params.  The weight
+    (2 a_x + d - 2)/d keeps the qudit search's bits; at d = 2 it rounds a_x
+    through [2, 4] first, so it is a_x only to within about 2e-16.
     """
-    return _objective(0, _stack(r0, q0, r1, q1, theta), p, w)
-
-
-def b1_qudit_maxmixed_objective(a0, b0, a1, b1, theta, d):
-    """B1 for block effects a_i(1 + b_i c_i.sigma) (+) 1_(d-2), mixed input.
-
-    Post states are the optimal pure states of the qubit subspace; theta is
-    the angle between c0 and c1.  Projection enforces 0 <= b <= 1 and
-    0 <= a <= 1/(1 + b).  All arguments broadcast.
-    """
-    return _objective(1, _stack(a0, b0, a1, b1, theta), d, 0.0)
-
-
-def _stack(*params):
-    return np.stack(np.broadcast_arrays(*params), axis=-1)
-
-
-def _objective(kind, params, arg0, arg1):
-    """B1 of the given kind at params (..., 5); arg0, arg1 are (p, w) for
-    kind 0 and (d, unused) for kind 1."""
-    u0, v0, u1, v1, theta = _projected_columns(kind, params)
+    a0, b0, a1, b1, theta = _projected_columns(params)
     x = np.cos(theta)
-    if kind == 0:
-        r0, q0, r1, q1, p, w = u0, v0, u1, v1, arg0, arg1
-        qq0, qq1, qq01 = q0 * q0, q1 * q1, 2.0 * q0 * q1
-        # |q0 v0 - q1 v1| and the post-state alignment terms
-        wn = w * np.sqrt(np.maximum(qq0 + qq1 - qq01 * x, 0.0))
-        x0 = 1.0 + r0 - r1 + wn
-        x1 = 1.0 + r1 - r0 + wn
-        # |q0 X0 v0 + q1 X1 v1| for the initial-state alignment
-        m_sq = qq0 * x0 * x0 + qq1 * x1 * x1 + qq01 * x0 * x1 * x
-        return r0 * x0 + r1 * x1 + p * np.sqrt(np.maximum(m_sq, 0.0))
-    a0, b0, a1, b1, d = u0, v0, u1, v1, arg0
-    g0, g1 = a0 * b0, a1 * b1
-    m = np.sqrt(np.maximum(g0 * g0 + g1 * g1 - 2.0 * g0 * g1 * x, 0.0))
-    p_plus0 = (2.0 * a0 + d - 2.0) / d
-    p_plus1 = (2.0 * a1 + d - 2.0) / d
-    return p_plus0 * (1.0 + a0 - a1 + m) + p_plus1 * (1.0 + a1 - a0 + m)
+    q0, q1 = a0 * b0, a1 * b1
+    qq0, qq1, qq01 = q0 * q0, q1 * q1, 2.0 * q0 * q1
+    # |q0 c0 - q1 c1| and the post-state alignment terms
+    wm = w * np.sqrt(np.maximum(qq0 + qq1 - qq01 * x, 0.0))
+    x0 = 1.0 + a0 - a1 + wm
+    x1 = 1.0 + a1 - a0 + wm
+    value = (2.0 * a0 + d - 2.0) / d * x0 + (2.0 * a1 + d - 2.0) / d * x1
+    # |q0 X0 c0 + q1 X1 c1| for the input-state alignment; at p = 0 the term
+    # is +0.0 and leaves value's bits as they are
+    m_sq = qq0 * x0 * x0 + qq1 * x1 * x1 + qq01 * x0 * x1 * x
+    return value + 2.0 / d * p * np.sqrt(np.maximum(m_sq, 0.0))
 
 
 def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
@@ -137,7 +109,6 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
     """
     n_rows, n = x0.shape
     step = 0.1 * (hi - lo)
-    step = np.where(step == 0.0, 0.05, step)
     pts = np.repeat(x0[:, None, :], n + 1, axis=1)
     up = x0 + step
     diag = np.arange(n)

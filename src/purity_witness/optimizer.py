@@ -103,31 +103,33 @@ def _search_measurements(r, q, theta, w, d):
     return ProtocolPair(*meas), c, vector_length(diff)
 
 
-def _search_point(kind: int, params) -> np.ndarray:
+def _search_point(params) -> np.ndarray:
     """``kernels.project`` of one search point, a 5-vector with a finite theta."""
     x = np.asarray(params, dtype=float)
     if x.shape != (5,) or not math.isfinite(x[4]):
         raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
-    return kernels.project(kind, x)
+    return kernels.project(x)
 
 
 def params_to_protocol(
     params: np.ndarray, p: float, w: float
 ) -> tuple[DensityMatrix, ProtocolPair]:
     """Build the concrete state and measure-and-prepare pair for a qubit
-    search's parameter vector (r0, q0, r1, q1, theta), for cross-checking the
+    search's parameter vector (a0, b0, a1, b1, theta), for cross-checking the
     closed-form objective against the full matrix simulation.
 
-    The input has Bloch length p along q0 X0 c0 + q1 X1 c1, with
-    X_i = 1 + r_i - r_(1-i) + w |q0 c0 - q1 c1|, falling back to +z.
+    The "+" effects are a_i(1 + b_i c_i.sigma), that is r_i = a_i and
+    q_i = a_i b_i.  The input has Bloch length p along q0 X0 c0 + q1 X1 c1,
+    with X_i = 1 + a_i - a_(1-i) + w |q0 c0 - q1 c1|, falling back to +z.
     """
     for name, val in (("p", p), ("w", w)):
         if not 0.0 <= val <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1]")
-    r0, q0, r1, q1, theta = _search_point(0, params)
-    protocol, (c0, c1), n = _search_measurements((r0, r1), (q0, q1), theta, w, 2)
-    x0 = 1.0 + r0 - r1 + w * n
-    x1 = 1.0 + r1 - r0 + w * n
+    a0, b0, a1, b1, theta = _search_point(params)
+    q0, q1 = a0 * b0, a1 * b1
+    protocol, (c0, c1), n = _search_measurements((a0, a1), (q0, q1), theta, w, 2)
+    x0 = 1.0 + a0 - a1 + w * n
+    x1 = 1.0 + a1 - a0 + w * n
     return _block_state(p, q0 * x0 * c0 + q1 * x1 * c1, 2), protocol
 
 
@@ -140,7 +142,7 @@ def qudit_params_to_protocol(
     q_i = a_i b_i, and the post states are pure."""
     if not isinstance(d, int) or d < 2:
         raise DimensionError(f"d must be an int of at least 2, got {d!r}")
-    a0, b0, a1, b1, theta = _search_point(1, params)
+    a0, b0, a1, b1, theta = _search_point(params)
     protocol = _search_measurements((a0, a1), (a0 * b0, a1 * b1), theta, 1.0, d)[0]
     return DensityMatrix(np.eye(d, dtype=complex) / d), protocol
 
@@ -174,9 +176,8 @@ def maximize_b1_qubit(
 ) -> OptimizationReport:
     """Multistart search for the qubit maximum of B1 at fixed (p, w)."""
     return _search(
-        lambda x: kernels._objective(0, x, p, w),
-        kernels.QUBIT_BOX, 4000, restarts, seed,
-        b1_max_constrained(p, w), lambda x: kernels.project(0, x),
+        lambda x: kernels._objective(x, p, w, 2.0),
+        kernels.BOX, 4000, restarts, seed, b1_max_constrained(p, w), kernels.project,
     )
 
 
@@ -209,9 +210,9 @@ def maximize_b1_qudit_maxmixed(
     if d not in (3, 4, 5, 6):
         raise DomainError("d must be one of 3, 4, 5, 6")
     return _search(
-        lambda x: kernels._objective(1, x, float(d), 0.0),
-        kernels.QUDIT_BOX, 4000, restarts, seed,
-        max(3.0, 4.0 * (1.0 - 1.0 / d)), lambda x: kernels.project(1, x),
+        lambda x: kernels._objective(x, 0.0, 1.0, float(d)),
+        kernels.BOX, 4000, restarts, seed,
+        max(3.0, 4.0 * (1.0 - 1.0 / d)), kernels.project,
         attainable=max(3.0 - 1.0 / d, 4.0 * (1.0 - 1.0 / d)),
     )
 

@@ -214,9 +214,8 @@ def _bloch_rows(x: float, y: float, z: float) -> list[list[complex]]:
     """The rows of (1 + r.sigma) / 2 for the Bloch vector r = (x, y, z).
 
     The real and imaginary parts of 1 + r.sigma are formed with every zero
-    +0.0 and then halved, which is bitwise what numpy's complex array
-    product 0.5 * (1 + r.sigma) gives where it fuses multiply and add
-    (x86-64 with FMA), signed zeros and underflow included.
+    +0.0 and then halved apart, with no complex product, so the entries,
+    signed zeros and underflow included, are the same on every CPU.
     """
     return [
         [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],

@@ -8,10 +8,20 @@ from real and imaginary parts without BLAS, so their bits do not depend on
 the CPU either.
 ``reject_non_finite`` is a ``json.loads`` ``parse_constant`` that rejects
 NaN and the infinities, which strict JSON has no numbers for.
+``run_fresh`` calls a test module's function in a fresh interpreter, for the
+pinned digests that must hold under another numpy dispatch level or
+OpenBLAS kernel.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import purity_witness
 from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DomainError
 from purity_witness.quantum import (
@@ -107,3 +117,45 @@ def table_from_counts(rec: CountsRecord) -> CorrelationTable:
 
 def reject_non_finite(name):
     raise ValueError(f"non-finite JSON number {name}")
+
+
+# calls argv[4](*argv[5]) of the test module argv[3], with the package source
+# argv[1] and the tests directory argv[2] first on the path; it reports the
+# numpy dispatch targets left on, so a test cannot pass without switching them
+# off, and the OpenBLAS kernel's name where numpy's bundled OpenBLAS gives it
+_FRESH_CHILD = r"""
+import ctypes, glob, importlib, json, os, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+result = getattr(importlib.import_module(sys.argv[3]), sys.argv[4])(*json.loads(sys.argv[5]))
+print(json.dumps({
+    "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+    "core": corename and corename().decode(),
+    "result": result,
+}))
+"""
+
+
+def run_fresh(module: str, function: str, args: list, env: dict) -> dict:
+    """``function(*args)`` of the test module ``module``, called in a fresh
+    interpreter whose environment is this one's updated with ``env``, on the
+    package this process imported.  Returns a dict of the JSON ``result``,
+    the numpy ``dispatch`` targets left on and the OpenBLAS ``core`` name (or
+    None)."""
+    src = Path(purity_witness.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, str(src), str(tests), module, function,
+         json.dumps(args)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

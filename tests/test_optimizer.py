@@ -1,11 +1,6 @@
 import hashlib
-import json
 import math
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +42,8 @@ from purity_witness.sequence import (
     evaluate_functional,
 )
 from purity_witness.witness import b1_max_constrained, b1_max_initial
+
+from protocols import run_fresh
 
 
 def test_report_rejects_unsound_value():
@@ -90,11 +87,11 @@ def test_qubit_best_params_reproduce_value_in_matrix_simulation():
             rep.best_value, abs=1e-9
         )
         # and away from the optimum, past the box's faces
-        lo, hi = kernels.QUBIT_BOX
+        lo, hi = kernels.BOX
         for x in np.random.default_rng(3).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
             rho, protocol = params_to_protocol(x, p, w)
             assert b1(correlations(rho, protocol)) == pytest.approx(
-                kernels._objective(0, x, p, w), abs=1e-12
+                kernels._objective(x, p, w, 2.0), abs=1e-12
             )
 
 
@@ -107,18 +104,18 @@ def test_qudit_best_params_reproduce_value_in_matrix_simulation(d):
     assert np.array_equal(rho.matrix, np.eye(d) / d)
     assert b1(correlations(rho, protocol)) == pytest.approx(rep.best_value, abs=1e-9)
     # and the objective agrees with the simulation away from the optimum
-    lo, hi = kernels.QUDIT_BOX
+    lo, hi = kernels.BOX
     for x in np.random.default_rng(d).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
         rho, protocol = qudit_params_to_protocol(x, d)
         assert b1(correlations(rho, protocol)) == pytest.approx(
-            kernels._objective(1, x, float(d), 0.0), abs=1e-12
+            kernels._objective(x, 0.0, 1.0, float(d)), abs=1e-12
         )
 
 
 def test_optimal_states_for_effects_projective_pair():
     # projective effects along +z and -z: the posts lie along +-z and the
     # input is pure along +z
-    rho, protocol = params_to_protocol(np.array([0.5, 0.5, 0.5, 0.5, math.pi]), 1.0, 1.0)
+    rho, protocol = params_to_protocol(np.array([0.5, 1.0, 0.5, 1.0, math.pi]), 1.0, 1.0)
     for meas, z in ((protocol.meas0, 1.0), (protocol.meas1, -1.0)):
         assert meas.post_plus is meas.post_minus
         post = density_to_bloch(meas.post_plus)
@@ -129,7 +126,7 @@ def test_optimal_states_for_effects_projective_pair():
 
 
 def test_optimal_states_degenerate_effects_fall_back():
-    # q0 = q1 = 0: the post and input directions vanish and fall back to +z
+    # b0 = b1 = 0: the post and input directions vanish and fall back to +z
     rho, protocol = params_to_protocol(np.array([0.5, 0.0, 0.5, 0.0, 1.0]), 0.5, 0.5)
     for state in (protocol.meas0.post_plus, protocol.meas1.post_plus, rho):
         np.testing.assert_allclose(density_to_bloch(state).direction, [0.0, 0.0, 1.0])
@@ -393,21 +390,22 @@ def test_kernel_backend_flag_is_exposed():
     assert kernels.BACKEND == "numpy"
 
 
-_BOXES = {0: kernels.QUBIT_BOX, 1: kernels.QUDIT_BOX}
-_KIND_ARGS = {0: (0.6, 0.8), 1: (3.0, 0.0)}
+# (p, w, d) of the objective as two searches call it: 0 the qubit search at
+# (p, w) = (0.6, 0.8), 1 the maximally mixed qutrit search
+_SEARCH_ARGS = [(0.6, 0.8, 2.0), (0.0, 1.0, 3.0)]
 _MAXITER = 4000  # as optimizer.py uses
 
 
-def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
+def _reference_nelder_mead(args, x0, lo, hi, maxiter, ftol, xtol):
     """One simplex at a time, one scalar objective call per point."""
 
     def f(x):
-        return -kernels._objective(kind, x, arg0, arg1)
+        return -kernels._objective(x, *args)
 
     n = x0.shape[0]
     pts = np.tile(x0, (n + 1, 1))
     for j in range(n):
-        step = 0.1 * (hi[j] - lo[j]) or 0.05
+        step = 0.1 * (hi[j] - lo[j])
         pts[j + 1, j] += -step if x0[j] + step > hi[j] else step
     vals = np.array([f(x) for x in pts])
     for _ in range(maxiter):
@@ -438,18 +436,16 @@ def _reference_nelder_mead(kind, arg0, arg1, x0, lo, hi, maxiter, ftol, xtol):
     return -vals[best], pts[best].copy()
 
 
-def _reference_multistart(kind, starts, maxiter=_MAXITER):
+def _reference_multistart(args, starts, maxiter=_MAXITER):
     """Per-start loop with chained re-runs and the earliest-start tie rule."""
-    lo, hi = _BOXES[kind]
+    lo, hi = kernels.BOX
     search = (maxiter, kernels.FTOL, kernels.XTOL)
     per_start = []
     best_val, best_x = -np.inf, None
     for x0 in starts:
-        val, x = _reference_nelder_mead(kind, *_KIND_ARGS[kind], x0, lo, hi, *search)
+        val, x = _reference_nelder_mead(args, x0, lo, hi, *search)
         for _ in range(3):
-            val2, x2 = _reference_nelder_mead(
-                kind, *_KIND_ARGS[kind], x, lo, hi, *search
-            )
+            val2, x2 = _reference_nelder_mead(args, x, lo, hi, *search)
             gained = val2 > val + 1e-13
             if val2 > val:
                 val, x = val2, x2
@@ -461,33 +457,33 @@ def _reference_multistart(kind, starts, maxiter=_MAXITER):
     return best_val, best_x, np.array(per_start)
 
 
-@pytest.mark.parametrize("kind", [0, 1])
-def test_lockstep_search_matches_scalar_reference_bitwise(kind):
-    lo, hi = _BOXES[kind]
+@pytest.mark.parametrize("search", [0, 1])
+def test_lockstep_search_matches_scalar_reference_bitwise(search):
+    args = _SEARCH_ARGS[search]
+    lo, hi = kernels.BOX
     starts = np.random.default_rng(21).uniform(lo, hi, size=(6, 5))
     best, x, per_start = kernels.multistart_maximize(
-        lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-        starts, lo, hi, _MAXITER,
+        lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
     )
-    ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts)
+    ref_best, ref_x, ref_per_start = _reference_multistart(args, starts)
     assert best == ref_best
     np.testing.assert_array_equal(x, ref_x)
     np.testing.assert_array_equal(per_start, ref_per_start)
 
 
-@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("search", [0, 1])
 @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
-def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(kind, maxiter):
+def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(search, maxiter):
     # no simplex converges within 40 steps from these starts, so every run
     # ends at maxiter and reports the best of its vertices as they stand
-    lo, hi = _BOXES[kind]
+    args = _SEARCH_ARGS[search]
+    lo, hi = kernels.BOX
     for seed in range(4):
         starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
         best, x, per_start = kernels.multistart_maximize(
-            lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-            starts, lo, hi, maxiter,
+            lambda x: kernels._objective(x, *args), starts, lo, hi, maxiter
         )
-        ref_best, ref_x, ref_per_start = _reference_multistart(kind, starts, maxiter)
+        ref_best, ref_x, ref_per_start = _reference_multistart(args, starts, maxiter)
         assert best == ref_best
         np.testing.assert_array_equal(x, ref_x)
         np.testing.assert_array_equal(per_start, ref_per_start)
@@ -497,9 +493,11 @@ def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(kind, maxiter):
 # call receives: 6 the initial simplex, 4 a step's candidates, 5 a shrink's
 # new vertices; a step that calls the objective more than once shows here.
 # Both counts hold at every x86-64 dispatch level of numpy 2.4, since the
-# engine's stable sort fixes the order of tied vertices.
+# engine's stable sort fixes the order of tied vertices.  The qubit count was
+# taken again when the qubit search moved to the qudit search's (a, b)
+# coordinates, which changed every simplex it runs.
 _OBJECTIVE_CALLS = {
-    "qubit": {6: 2, 4: 427, 5: 182},
+    "qubit": {6: 2, 4: 112, 5: 98},
     "qudit": {6: 2, 4: 270, 5: 158},
 }
 
@@ -509,7 +507,7 @@ def test_search_objective_calls_are_pinned(monkeypatch):
     shapes = []
 
     def counted(*args):
-        shapes.append(np.shape(args[1]))
+        shapes.append(np.shape(args[0]))
         return objective(*args)
 
     monkeypatch.setattr(kernels, "_objective", counted)
@@ -538,7 +536,8 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 
     monkeypatch.setattr(kernels, "multistart_maximize", recording)
     # some starts of both searches miss the best value: at (0.25, 0.25), just
-    # above the branch point, most of them do
+    # above the branch point, 15 of the qubit search's 40 do, and 1 of the
+    # qutrit search's 20
     for search in (
         lambda: maximize_b1_qubit(0.25, 0.25, restarts=40, seed=0),
         lambda: maximize_b1_qudit_maxmixed(3, restarts=20, seed=0),
@@ -552,8 +551,11 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 
 # sha256 of per_start.tobytes() + best_params.tobytes() for each search, as
 # computed with the engine's plain np.clip/take_along_axis forms; any change to
-# the arithmetic of the engine or of the objectives shows here, so a digest is
+# the arithmetic of the engine or of the objective shows here, so a digest is
 # never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64.
+# The qubit entries were taken again when the qubit search moved from the
+# coordinates (r, q) to the qudit search's (a, b): its starts, simplices and
+# reported points are now in other coordinates, while the qudit entries held.
 # The B1 entries hold at every dispatch level, baseline x86-64 included (see
 # the test below), and under any OpenBLAS kernel, since the B1 searches call
 # no BLAS or LAPACK.  The functional search's eigh/eigvalsh calls follow the
@@ -562,9 +564,9 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 # can run: it read d024700f00af... under the AVX-512 kernel, 0da971a6e8a4...
 # under Prescott, and db7acd49c65c... at baseline dispatch.
 _SEARCH_DIGESTS = {
-    ("qubit", 0.25, 0.25): "d93abb7db86d2c0b7ab84bc3bb03f6c5679d474d00b3e85580f42875b0e5e6f8",
-    ("qubit", 0.5, 0.75): "8178de56a07aeca4163a6e59291355090469d1013878f6ffbad3f771842fc612",
-    ("qubit", 1.0, 1.0): "4d44bdb21f52db819f2deca58ef1072cd8a12fa821328b86912e0bacad2f354a",
+    ("qubit", 0.25, 0.25): "c60c5ca194c790c5bd1e7ae6eb105e9bdb3fef02d2c27aabc6f6942344f201b7",
+    ("qubit", 0.5, 0.75): "72bea857a1f2f961afd0e8c00340c71f25d16fb4f6a81ec78c152c3fe88440c2",
+    ("qubit", 1.0, 1.0): "1cceed1eeec3e012881d3d738811874f9c25b2366c3365a571872d83cec86f4a",
     ("qudit", 3): "90a261defe799cc0805e18b1b49a035ae266b46471d44e180957bccfbba42d4c",
     ("qudit", 4): "8611bea045a14abfae11677f592e9548bc6b39f66540828f93eaed3be2e05b02",
     ("qudit", 5): "6e7f6506a1053803b74f9ddeabce923484da087a4425ee4f38fa7c6368eacac5",
@@ -588,7 +590,9 @@ _SEARCHES = {
 _B1_SEARCHES = [key for key in _SEARCHES if key[0] != "functional"]
 
 
-def _search_digests(monkeypatch, keys):
+def _search_digests(keys):
+    """The digest of each search named in keys, in order; a key may come as
+    a JSON list."""
     per_start = []
     engine = kernels.multistart_maximize
 
@@ -597,52 +601,25 @@ def _search_digests(monkeypatch, keys):
         per_start.append(out[2])
         return out
 
-    monkeypatch.setattr(kernels, "multistart_maximize", recording)
-    digests = {}
-    for key in keys:
-        rep = _SEARCHES[key]()
-        raw = per_start[-1].tobytes() + rep.best_params.tobytes()
-        digests[key] = hashlib.sha256(raw).hexdigest()
+    digests = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "multistart_maximize", recording)
+        for key in keys:
+            rep = _SEARCHES[tuple(key)]()
+            raw = per_start[-1].tobytes() + rep.best_params.tobytes()
+            digests.append(hashlib.sha256(raw).hexdigest())
     return digests
 
 
-def test_search_outputs_match_pinned_digests(monkeypatch):
-    assert _search_digests(monkeypatch, _B1_SEARCHES) == _SEARCH_DIGESTS
-
-
-# runs the searches of this module named in argv[3] (a JSON list of keys) in a
-# fresh interpreter; it reports the numpy dispatch targets left on, so a test
-# cannot pass without switching them off
-_SEARCH_CHILD = r"""
-import importlib.util, json, sys
-import pytest
-sys.path.insert(0, sys.argv[1])
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-spec = importlib.util.spec_from_file_location("pinned_searches", sys.argv[2])
-module = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(module)
-keys = [tuple(key) for key in json.loads(sys.argv[3])]
-with pytest.MonkeyPatch.context() as mp:
-    digests = module._search_digests(mp, keys)
-print(json.dumps({
-    "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
-    "digests": [digests[key] for key in keys],
-}))
-"""
+def test_search_outputs_match_pinned_digests():
+    assert dict(zip(_B1_SEARCHES, _search_digests(_B1_SEARCHES))) == _SEARCH_DIGESTS
 
 
 def _run_searches(keys, env):
-    src = Path(kernels.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SEARCH_CHILD, str(src), __file__, json.dumps(keys)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, **env},
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return result["dispatch"], dict(zip(keys, result["digests"]))
+    """The numpy dispatch targets left on and the digests of the searches
+    named in keys, run in a fresh interpreter under env."""
+    out = run_fresh("test_optimizer", "_search_digests", [keys], env)
+    return out["dispatch"], dict(zip(keys, out["result"]))
 
 
 _ON_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
@@ -684,19 +661,18 @@ def test_functional_search_digest_pinned_under_haswell_kernel(disabled):
     assert digests == {("functional", 3): _FUNCTIONAL_HASWELL_DIGEST}
 
 
-@pytest.mark.parametrize("kind", [0, 1])
-def test_lockstep_rows_share_no_state(kind):
+@pytest.mark.parametrize("search", [0, 1])
+def test_lockstep_rows_share_no_state(search):
     # one call over B starts gives what B single-start calls give
-    lo, hi = _BOXES[kind]
+    args = _SEARCH_ARGS[search]
+    lo, hi = kernels.BOX
     starts = np.random.default_rng(4).uniform(lo, hi, size=(12, 5))
     _, _, batch = kernels.multistart_maximize(
-        lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-        starts, lo, hi, _MAXITER,
+        lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
     )
     single = [
         kernels.multistart_maximize(
-            lambda x: kernels._objective(kind, x, *_KIND_ARGS[kind]),
-            s[None], lo, hi, _MAXITER,
+            lambda x: kernels._objective(x, *args), s[None], lo, hi, _MAXITER
         )[2][0]
         for s in starts
     ]
@@ -707,17 +683,19 @@ def test_objectives_broadcast_like_scalar_calls():
     # points outside the constraint set exercise the projection too
     pts = np.random.default_rng(5).uniform(-0.2, 1.2, size=(7, 3, 5))
     flat = [[float(v) for v in x] for x in pts.reshape(-1, 5)]
-    qubit = kernels.b1_qubit_objective(*np.moveaxis(pts, -1, 0), 0.6, 0.8)
-    qudit = kernels.b1_qudit_maxmixed_objective(*np.moveaxis(pts, -1, 0), 3.0)
-    assert qubit.shape == qudit.shape == (7, 3)
+    for args in _SEARCH_ARGS:
+        batch = kernels._objective(pts, *args)
+        assert batch.shape == (7, 3)
+        np.testing.assert_array_equal(
+            batch.ravel(), [kernels._objective(x, *args) for x in flat]
+        )
+    # p per row, zero included, as a batched grid search would pass it
+    ps = np.linspace(0.0, 1.0, 7)
+    batch = kernels._objective(pts, ps[:, None], 0.8, 2.0)
+    assert batch.shape == (7, 3)
     np.testing.assert_array_equal(
-        qubit.ravel(), [kernels.b1_qubit_objective(*x, 0.6, 0.8) for x in flat]
+        batch, [[kernels._objective(x, p, 0.8, 2.0) for x in row] for p, row in zip(ps, pts)]
     )
-    np.testing.assert_array_equal(
-        qudit.ravel(), [kernels.b1_qudit_maxmixed_objective(*x, 3.0) for x in flat]
-    )
-    np.testing.assert_array_equal(qubit, kernels._objective(0, pts, 0.6, 0.8))
-    np.testing.assert_array_equal(qudit, kernels._objective(1, pts, 3.0, 0.0))
     # the general-functional objective: eigenvalue entries outside [0, 1]
     # exercise its clipping
     weights = np.random.default_rng(6).normal(size=(2, 2, 2, 2))
@@ -732,30 +710,27 @@ def test_objectives_broadcast_like_scalar_calls():
 
 
 def test_reported_params_are_feasible_and_reproduce_value():
-    rep = maximize_b1_qubit(0.6, 0.8, restarts=5, seed=0)
-    r0, q0, r1, q1, _ = rep.best_params
-    for r, q in ((r0, q0), (r1, q1)):
-        assert 0.0 <= r <= 1.0 and 0.0 <= q <= min(r, 1.0 - r)
-    assert kernels._objective(0, rep.best_params, 0.6, 0.8) == rep.best_value
-    rep = maximize_b1_qudit_maxmixed(3, restarts=5, seed=0)
-    a0, b0, a1, b1_, _ = rep.best_params
-    for a, b in ((a0, b0), (a1, b1_)):
-        assert 0.0 <= b <= 1.0 and 0.0 <= a <= 1.0 / (1.0 + b)
-    assert kernels._objective(1, rep.best_params, 3.0, 0.0) == rep.best_value
+    for rep, args in (
+        (maximize_b1_qubit(0.6, 0.8, restarts=5, seed=0), _SEARCH_ARGS[0]),
+        (maximize_b1_qudit_maxmixed(3, restarts=5, seed=0), _SEARCH_ARGS[1]),
+    ):
+        a0, b0, a1, b1_, _ = rep.best_params
+        for a, b in ((a0, b0), (a1, b1_)):
+            assert 0.0 <= b <= 1.0 and 0.0 <= a <= 1.0 / (1.0 + b)
+        assert kernels._objective(rep.best_params, *args) == rep.best_value
 
 
 def test_kernel_objective_matches_closed_form_at_known_optimum():
     # deterministic "+" first effect plus a projective second effect is the
     # known maximizer whenever the post length clears the threshold
-    val = kernels.b1_qubit_objective(1.0, 0.0, 0.5, 0.5, 0.0, 1.0, 1.0)
+    point = [1.0, 0.0, 0.5, 1.0, 0.0]
+    val = kernels._objective(point, 1.0, 1.0, 2.0)
     assert val == pytest.approx(3.0, abs=1e-12)
-    val = kernels.b1_qubit_objective(1.0, 0.0, 0.5, 0.5, 0.0, 0.4, 0.9)
+    val = kernels._objective(point, 0.4, 0.9, 2.0)
     assert val == pytest.approx(b1_max_constrained(0.4, 0.9), abs=1e-12)
 
 
 def test_kernel_qudit_objective_known_optimum():
     for d in (4, 5, 6):
-        val = kernels.b1_qudit_maxmixed_objective(
-            0.5, 1.0, 0.5, 1.0, math.pi, float(d)
-        )
+        val = kernels._objective([0.5, 1.0, 0.5, 1.0, math.pi], 0.0, 1.0, float(d))
         assert val == pytest.approx(4.0 * (1.0 - 1.0 / d), abs=1e-12)

@@ -35,7 +35,6 @@ from purity_witness.counts import (
 )
 from purity_witness.errors import CountsFormatError, DomainError
 from purity_witness import certificate, kernels, quantum
-from purity_witness.kernels import b1_qubit_objective
 from purity_witness.optimizer import MAX_RESTARTS
 from purity_witness.quantum import (
     HERM_TOL,
@@ -171,24 +170,20 @@ box = st.floats(min_value=-0.5, max_value=1.5)
 
 @deterministic
 @given(box, box, box, box, st.floats(min_value=-10.0, max_value=10.0), unit, unit)
-def test_qubit_objective_never_exceeds_closed_form(r0, q0, r1, q1, theta, p, w):
-    val = float(b1_qubit_objective(r0, q0, r1, q1, theta, p, w))
+def test_qubit_objective_never_exceeds_closed_form(a0, b0, a1, b1_, theta, p, w):
+    val = float(kernels._objective([a0, b0, a1, b1_, theta], p, w, 2.0))
     assert np.isfinite(val)
     assert val <= b1_max_constrained(p, w) + 1e-12
 
 
-def _clip_projection(kind, params):
+def _clip_projection(params):
     """The projection written with np.clip, one column at a time over a 2-D
     batch: numpy 2.4's clip breaks a tie between 0.0 and -0.0 one way on
     0-d inputs and the other way on arrays."""
     x = np.array(params, dtype=float).reshape(-1, 5)
     for i in (0, 2):
-        if kind == 0:
-            r = x[:, i] = np.clip(x[:, i], 0.0, 1.0)
-            x[:, i + 1] = np.clip(x[:, i + 1], 0.0, np.minimum(r, 1.0 - r))
-        else:
-            b = x[:, i + 1] = np.clip(x[:, i + 1], 0.0, 1.0)
-            x[:, i] = np.clip(x[:, i], 0.0, 1.0 / (1.0 + b))
+        b = x[:, i + 1] = np.clip(x[:, i + 1], 0.0, 1.0)
+        x[:, i] = np.clip(x[:, i], 0.0, 1.0 / (1.0 + b))
     return x.reshape(np.shape(params))
 
 
@@ -210,11 +205,11 @@ kernel_params = arrays(
 
 
 @settings(deterministic, max_examples=300)
-@given(st.sampled_from([0, 1]), kernel_params)
-def test_project_matches_clip_and_is_idempotent(kind, params):
-    projected = kernels.project(kind, params)
-    assert _same_bits(projected, _clip_projection(kind, params))
-    assert _same_bits(kernels.project(kind, projected), projected)
+@given(kernel_params)
+def test_project_matches_clip_and_is_idempotent(params):
+    projected = kernels.project(params)
+    assert _same_bits(projected, _clip_projection(params))
+    assert _same_bits(kernels.project(projected), projected)
 
 
 # -- qubit validation ---------------------------------------------------------
@@ -383,11 +378,15 @@ bloch_lengths = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-308
 @settings(deterministic, max_examples=500)
 @given(bloch_lengths, axis_directions | tiny_directions | near_unit_directions())
 def test_bloch_to_density_is_the_complex_array_product(length, d):
-    # bitwise, signed zeros and underflow included
+    # bitwise, signed zeros and underflow included.  The reference halves the
+    # real and imaginary parts of 1 + v.sigma apart: a complex product such as
+    # 0.5 * (1 + v @ PAULI) rounds an underflow one way with fused
+    # multiply-add and the other way without it
     assume(_accepts_direction(d))
     state = BlochState(length, d)
-    vec = state.length * state.direction
-    ref = 0.5 * (np.eye(2, dtype=complex) + (vec @ quantum.PAULI.reshape(3, 4)).reshape(2, 2))
+    m = np.eye(2) + quantum.pauli_dot(state.length * state.direction)
+    ref = np.empty((2, 2), dtype=complex)
+    ref.real, ref.imag = 0.5 * m.real, 0.5 * m.imag
     assert quantum.bloch_to_density(state).matrix.tobytes() == ref.tobytes()
 
 

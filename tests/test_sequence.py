@@ -1,18 +1,13 @@
 import hashlib
-import json
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from purity_witness import kernels
 from purity_witness.certificate import certify
 from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DimensionError, DomainError
-from purity_witness.kernels import b1_qubit_objective
 from purity_witness.quantum import (
     BinaryMeasurement,
     DensityMatrix,
@@ -32,7 +27,7 @@ from purity_witness.sequence import (
     theorem2_protocol,
 )
 
-from protocols import random_density, random_qubit_protocol
+from protocols import random_density, random_qubit_protocol, run_fresh
 
 
 def _deterministic_plus_protocol() -> ProtocolPair:
@@ -320,15 +315,17 @@ def test_qubit_ceiling_over_random_protocols():
     # dimension-witness property: no qubit protocol exceeds 3.  B1 is linear
     # in each state, so for fixed effects the optimal pure states (p = w = 1)
     # dominate every other choice of states.
+    # The effects a(1 + b c.sigma) with 0 <= b <= 1 and 0 <= a <= 1/(1 + b)
+    # are all the qubit effects r + q c.sigma with 0 <= q <= r <= 1 - q.
     rng = np.random.default_rng(23)
     n = 10_000
-    q0 = rng.uniform(0.0, 0.5, n)
-    r0 = rng.uniform(q0, 1.0 - q0)
-    q1 = rng.uniform(0.0, 0.5, n)
-    r1 = rng.uniform(q1, 1.0 - q1)
+    b0 = rng.uniform(0.0, 1.0, n)
+    a0 = rng.uniform(0.0, 1.0 / (1.0 + b0))
+    b1_ = rng.uniform(0.0, 1.0, n)
+    a1 = rng.uniform(0.0, 1.0 / (1.0 + b1_))
     theta = rng.uniform(0.0, np.pi, n)
 
-    vals = b1_qubit_objective(r0, q0, r1, q1, theta, 1.0, 1.0)
+    vals = kernels._objective(np.stack([a0, b0, a1, b1_, theta], axis=-1), 1.0, 1.0, 2.0)
     assert vals.max() <= 3.0 + 1e-10
     assert vals.min() >= 0.0
 
@@ -417,24 +414,6 @@ def test_simulation_and_certificate_match_pinned_digests():
     assert _simulation_digests() == _SIMULATION_DIGESTS
 
 
-# computes _simulation_digests in a fresh interpreter, with the name of the
-# OpenBLAS kernel it runs where numpy's bundled OpenBLAS reports it
-_KERNEL_CHILD = r"""
-import ctypes, glob, json, os, sys
-sys.path[:0] = sys.argv[1:3]
-import numpy as np
-import test_sequence
-libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*"))
-corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
-if corename is not None:
-    corename.restype = ctypes.c_char_p
-print(json.dumps({
-    "core": corename and corename().decode(),
-    "digests": test_sequence._simulation_digests(),
-}))
-"""
-
-
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="the forced OpenBLAS kernels are x86-64 ones",
@@ -444,25 +423,16 @@ def test_simulation_digests_hold_under_every_openblas_kernel():
     # CPU has AVX2 and AVX-512, so no kernel is forced on a CPU that lacks it
     from numpy._core._multiarray_umath import __cpu_features__
 
-    kernels = ["Prescott"] + [
+    forced = ["Prescott"] + [
         kernel
         for kernel, feature in (("Haswell", "AVX2"), ("SkylakeX", "AVX512F"))
         if __cpu_features__[feature]
     ]
-    here = Path(__file__).resolve().parent
     cores = []
-    for kernel in kernels:
-        proc = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CHILD, str(here.parent / "src"), str(here)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
-        )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["digests"] == _SIMULATION_DIGESTS, kernel
-        cores.append(result["core"])
+    for kernel in forced:
+        out = run_fresh("test_sequence", "_simulation_digests", [], {"OPENBLAS_CORETYPE": kernel})
+        assert out["result"] == _SIMULATION_DIGESTS, kernel
+        cores.append(out["core"])
     # each forced kernel is a different one, where the kernel can be named
     if None not in cores:
         assert len(set(cores)) == len(cores), cores

@@ -74,77 +74,57 @@ class OptimizationReport:
         }
 
 
-def _block_state(length: float, vec: np.ndarray, d: int) -> DensityMatrix:
-    """(1 + length u.sigma)/2 (+) 0_(d-2) for u the unit vector along vec, or
-    +z where vec vanishes; the qubit block is ``bloch_to_density``'s."""
+def _block_state(length: float, vec: np.ndarray, d: int, rank: int = 2) -> DensityMatrix:
+    """(1_rank + length u.sigma)/rank (+) 0_(d-rank), with u.sigma on the
+    first two basis states, for u the unit vector along vec, or +z where vec
+    vanishes.  At rank 2 it is a post state (1 + length u.sigma)/2 (+)
+    0_(d-2), whose qubit block is ``bloch_to_density``'s; at rank d it is the
+    input (2/d)(1 + length u.sigma)/2 (+) 1_(d-2)/d."""
     n = vector_length(vec)
     m = np.zeros((d, d), dtype=complex)
-    m[:2, :2] = _bloch_rows(*(length * (_Z if n < 1e-12 else vec / n)).tolist())
+    m[2:rank, 2:rank] = np.eye(rank - 2) / rank
+    m[:2, :2] = _bloch_rows(*(length * (_Z if n < 1e-12 else vec / n)).tolist(), 1.0 / rank)
     return DensityMatrix(m)
 
 
-def _search_measurements(r, q, theta, w, d):
-    """The measure-and-prepare pair behind a B1 search point.
-
-    The "+" effects are E_(+|x) = r_x 1 + q_x c_x.sigma (+) 1_(d-2), with
-    c0 = z and c1 at angle theta from it in the x-z plane.  Both outcomes of
-    measurement 0 (1) re-prepare Bloch length w along +(-)(q0 c0 - q1 c1)
-    (+) 0, falling back to +z where that vector vanishes.  Returns the pair,
-    the directions (c0, c1) and |q0 c0 - q1 c1|.
-    """
-    c = (_Z, np.array([math.sin(theta), 0.0, math.cos(theta)]))
-    diff = q[0] * c[0] - q[1] * c[1]
-    meas = []
-    for x, sign in ((0, 1.0), (1, -1.0)):
-        effect = np.eye(d, dtype=complex)
-        effect[:2, :2] = r[x] * np.eye(2) + q[x] * pauli_dot(c[x])
-        post = _block_state(w, sign * diff, d)
-        meas.append(BinaryMeasurement(Effect(effect), post, post))
-    return ProtocolPair(*meas), c, vector_length(diff)
-
-
-def _search_point(params) -> np.ndarray:
-    """``kernels.project`` of one search point, a 5-vector with a finite theta."""
-    x = np.asarray(params, dtype=float)
-    if x.shape != (5,) or not math.isfinite(x[4]):
-        raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
-    return kernels.project(x)
-
-
 def params_to_protocol(
-    params: np.ndarray, p: float, w: float
+    params: np.ndarray, p: float, w: float, d: int
 ) -> tuple[DensityMatrix, ProtocolPair]:
-    """Build the concrete state and measure-and-prepare pair for a qubit
-    search's parameter vector (a0, b0, a1, b1, theta), for cross-checking the
+    """Build the explicit protocol behind a B1 search point (a0, b0, a1, b1,
+    theta): the input and measure-and-prepare pair whose B1 is
+    ``kernels._objective(params, p, w, d)``, for cross-checking the
     closed-form objective against the full matrix simulation.
 
-    The "+" effects are a_i(1 + b_i c_i.sigma), that is r_i = a_i and
-    q_i = a_i b_i.  The input has Bloch length p along q0 X0 c0 + q1 X1 c1,
-    with X_i = 1 + a_i - a_(1-i) + w |q0 c0 - q1 c1|, falling back to +z.
+    The point is projected first.  The "+" effects are
+    E_(+|x) = a_x(1 + b_x c_x.sigma) (+) 1_(d-2), with c0 = z and c1 at
+    angle theta from it in the x-z plane.  With q_x = a_x b_x, both
+    outcomes of measurement 0 (1) re-prepare Bloch length w along
+    +(-)(q0 c0 - q1 c1) (+) 0, and the input is
+    (2/d)(1 + p n.sigma)/2 (+) 1_(d-2)/d with n along q0 X0 c0 + q1 X1 c1,
+    X_x = 1 + a_x - a_(1-x) + w |q0 c0 - q1 c1|; a vanishing direction
+    falls back to +z.
     """
     for name, val in (("p", p), ("w", w)):
         if not 0.0 <= val <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1]")
-    a0, b0, a1, b1, theta = _search_point(params)
-    q0, q1 = a0 * b0, a1 * b1
-    protocol, (c0, c1), n = _search_measurements((a0, a1), (q0, q1), theta, w, 2)
-    x0 = 1.0 + a0 - a1 + w * n
-    x1 = 1.0 + a1 - a0 + w * n
-    return _block_state(p, q0 * x0 * c0 + q1 * x1 * c1, 2), protocol
-
-
-def qudit_params_to_protocol(
-    params: np.ndarray, d: int
-) -> tuple[DensityMatrix, ProtocolPair]:
-    """Build the maximally mixed input I/d and the measure-and-prepare pair
-    for a qudit search's parameter vector (a0, b0, a1, b1, theta): the "+"
-    effects are a_i(1 + b_i c_i.sigma) (+) 1_(d-2), that is r_i = a_i and
-    q_i = a_i b_i, and the post states are pure."""
     if not isinstance(d, int) or d < 2:
         raise DimensionError(f"d must be an int of at least 2, got {d!r}")
-    a0, b0, a1, b1, theta = _search_point(params)
-    protocol = _search_measurements((a0, a1), (a0 * b0, a1 * b1), theta, 1.0, d)[0]
-    return DensityMatrix(np.eye(d, dtype=complex) / d), protocol
+    x = np.asarray(params, dtype=float)
+    if x.shape != (5,) or not math.isfinite(x[4]):
+        raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
+    a0, b0, a1, b1, theta = kernels.project(x)
+    q0, q1 = a0 * b0, a1 * b1
+    c0, c1 = _Z, np.array([math.sin(theta), 0.0, math.cos(theta)])
+    diff = q0 * c0 - q1 * c1
+    meas = []
+    for a, q, c, sign in ((a0, q0, c0, 1.0), (a1, q1, c1, -1.0)):
+        effect = np.eye(d, dtype=complex)
+        effect[:2, :2] = a * np.eye(2) + q * pauli_dot(c)
+        post = _block_state(w, sign * diff, d)
+        meas.append(BinaryMeasurement(Effect(effect), post, post))
+    wm = w * vector_length(diff)
+    x0, x1 = 1.0 + a0 - a1 + wm, 1.0 + a1 - a0 + wm
+    return _block_state(p, q0 * x0 * c0 + q1 * x1 * c1, d, d), ProtocolPair(*meas)
 
 
 def _search(objective, box, maxiter, restarts, seed, closed, project, attainable=None):

@@ -210,16 +210,17 @@ def purity(rho: DensityMatrix) -> float:
     return min(max(p, 1.0 / d), 1.0)
 
 
-def _bloch_rows(x: float, y: float, z: float) -> list[list[complex]]:
-    """The rows of (1 + r.sigma) / 2 for the Bloch vector r = (x, y, z).
+def _bloch_rows(x: float, y: float, z: float, scale: float = 0.5) -> list[list[complex]]:
+    """The rows of scale (1 + r.sigma), by default (1 + r.sigma) / 2, for
+    the Bloch vector r = (x, y, z).
 
     The real and imaginary parts of 1 + r.sigma are formed with every zero
-    +0.0 and then halved apart, with no complex product, so the entries,
+    +0.0 and then scaled apart, with no complex product, so the entries,
     signed zeros and underflow included, are the same on every CPU.
     """
     return [
-        [complex(0.5 * (1.0 + z)), complex(0.5 * (0.0 + x), 0.5 * (0.0 - y))],
-        [complex(0.5 * (0.0 + x), 0.5 * (0.0 + y)), complex(0.5 * (1.0 - z))],
+        [complex(scale * (1.0 + z)), complex(scale * (0.0 + x), scale * (0.0 - y))],
+        [complex(scale * (0.0 + x), scale * (0.0 + y)), complex(scale * (1.0 - z))],
     ]
 
 

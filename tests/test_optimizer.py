@@ -22,7 +22,6 @@ from purity_witness.optimizer import (
     monotonicity_sweep,
     optimal_spectrum,
     params_to_protocol,
-    qudit_params_to_protocol,
 )
 from purity_witness.quantum import (
     BinaryMeasurement,
@@ -77,45 +76,48 @@ def test_qubit_search_grid_attains_closed_form():
     assert worst <= QUBIT_GAP_TOL
 
 
-def test_qubit_best_params_reproduce_value_in_matrix_simulation():
-    # closed-form objective and the full density-matrix pipeline agree at
-    # the optimizer's solution
-    for p, w in ((1.0, 1.0), (0.6, 0.8), (0.3, 0.5)):
-        rep = maximize_b1_qubit(p, w, restarts=40, seed=3)
-        rho, protocol = params_to_protocol(rep.best_params, p, w)
-        assert b1(correlations(rho, protocol)) == pytest.approx(
-            rep.best_value, abs=1e-9
-        )
-        # and away from the optimum, past the box's faces
-        lo, hi = kernels.BOX
-        for x in np.random.default_rng(3).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
-            rho, protocol = params_to_protocol(x, p, w)
-            assert b1(correlations(rho, protocol)) == pytest.approx(
-                kernels._objective(x, p, w, 2.0), abs=1e-12
-            )
+# the (p, w) points per dimension: the qubit search's at d = 2, the maximally
+# mixed qudit search's (0, 1) at d = 3..6, and two general points that no
+# search runs at
+_PROTOCOL_POINTS = {
+    2: [(1.0, 1.0), (0.6, 0.8), (0.3, 0.5)],
+    3: [(0.0, 1.0), (0.7, 0.4)],
+    4: [(0.0, 1.0)],
+    5: [(0.0, 1.0), (1.0, 0.2)],
+    6: [(0.0, 1.0)],
+}
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", list(_PROTOCOL_POINTS))
 def test_qudit_best_params_reproduce_value_in_matrix_simulation(d):
-    # the qudit search's number has an explicit protocol behind it; d >= 3
-    # also runs the eigvalsh validation path
-    rep = maximize_b1_qudit_maxmixed(d, 20, seed=0)
-    rho, protocol = qudit_params_to_protocol(rep.best_params, d)
-    assert np.array_equal(rho.matrix, np.eye(d) / d)
-    assert b1(correlations(rho, protocol)) == pytest.approx(rep.best_value, abs=1e-9)
-    # and the objective agrees with the simulation away from the optimum
-    lo, hi = kernels.BOX
-    for x in np.random.default_rng(d).uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
-        rho, protocol = qudit_params_to_protocol(x, d)
-        assert b1(correlations(rho, protocol)) == pytest.approx(
-            kernels._objective(x, 0.0, 1.0, float(d)), abs=1e-12
-        )
+    # the closed-form objective and the full density-matrix pipeline agree
+    # at a search's solution, d = 2 being the qubit search; d >= 3 also runs
+    # the eigvalsh validation path ...
+    for p, w in _PROTOCOL_POINTS[d]:
+        rep = None
+        if d == 2:
+            rep = maximize_b1_qubit(p, w, restarts=40, seed=3)
+        elif (p, w) == (0.0, 1.0):
+            rep = maximize_b1_qudit_maxmixed(d, 20, seed=0)
+        if rep is not None:
+            rho, protocol = params_to_protocol(rep.best_params, p, w, d)
+            if d > 2:
+                assert np.array_equal(rho.matrix, np.eye(d) / d)
+            assert b1(correlations(rho, protocol)) == pytest.approx(rep.best_value, abs=1e-9)
+        # ... and away from the optimum, past the box's faces
+        lo, hi = kernels.BOX
+        rng = np.random.default_rng(3 if d == 2 else d)
+        for x in rng.uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
+            rho, protocol = params_to_protocol(x, p, w, d)
+            assert b1(correlations(rho, protocol)) == pytest.approx(
+                kernels._objective(x, p, w, float(d)), abs=1e-12
+            )
 
 
 def test_optimal_states_for_effects_projective_pair():
     # projective effects along +z and -z: the posts lie along +-z and the
     # input is pure along +z
-    rho, protocol = params_to_protocol(np.array([0.5, 1.0, 0.5, 1.0, math.pi]), 1.0, 1.0)
+    rho, protocol = params_to_protocol(np.array([0.5, 1.0, 0.5, 1.0, math.pi]), 1.0, 1.0, 2)
     for meas, z in ((protocol.meas0, 1.0), (protocol.meas1, -1.0)):
         assert meas.post_plus is meas.post_minus
         post = density_to_bloch(meas.post_plus)
@@ -127,7 +129,7 @@ def test_optimal_states_for_effects_projective_pair():
 
 def test_optimal_states_degenerate_effects_fall_back():
     # b0 = b1 = 0: the post and input directions vanish and fall back to +z
-    rho, protocol = params_to_protocol(np.array([0.5, 0.0, 0.5, 0.0, 1.0]), 0.5, 0.5)
+    rho, protocol = params_to_protocol(np.array([0.5, 0.0, 0.5, 0.0, 1.0]), 0.5, 0.5, 2)
     for state in (protocol.meas0.post_plus, protocol.meas1.post_plus, rho):
         np.testing.assert_allclose(density_to_bloch(state).direction, [0.0, 0.0, 1.0])
 
@@ -143,8 +145,8 @@ _MALFORMED_POINTS = [
     [math.nan] + _POINT[1:],
 ]
 _SEARCH_BUILDERS = {
-    "qubit": lambda x, d: params_to_protocol(x, 0.5, 0.5),
-    "qudit": qudit_params_to_protocol,
+    "qubit": lambda x, d: params_to_protocol(x, 0.5, 0.5, 2),
+    "qudit": lambda x, d: params_to_protocol(x, 0.0, 1.0, d),
 }
 
 
@@ -162,8 +164,9 @@ def test_search_builders_reject_malformed_input_with_typed_errors(builder, param
 
 @pytest.mark.parametrize("p,w", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5), (0.5, math.nan)])
 def test_params_to_protocol_rejects_p_and_w_outside_the_unit_interval(p, w):
-    with pytest.raises(DomainError):
-        params_to_protocol(_POINT, p, w)
+    for d in (2, 3):
+        with pytest.raises(DomainError):
+            params_to_protocol(_POINT, p, w, d)
 
 
 def test_block_state_qubit_block_is_bloch_to_density_bytewise():

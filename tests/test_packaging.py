@@ -1,10 +1,10 @@
 """The package runs on its declared dependencies alone.
 
 Every import in ``src/purity_witness`` must be relative, from the standard
-library, or numpy, the one runtime dependency in ``pyproject.toml``, and
-its syntax must parse on the ``requires-python`` floor.  The package's
-exports resolve lazily, and the closed-form command-line paths start
-without numpy.
+library, or a runtime dependency in ``pyproject.toml`` (numpy), and its
+syntax must parse on the ``requires-python`` floor.  The metadata's version
+and console script are the package's own.  The package's exports resolve
+lazily, and the closed-form command-line paths start without numpy.
 """
 
 import ast
@@ -13,14 +13,20 @@ import json
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import purity_witness
+from purity_witness import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "purity_witness"
-DECLARED = {"numpy"}
+PROJECT = tomllib.loads(
+    (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+)["project"]
+# the runtime dependencies' names, which are also their import names
+DECLARED = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in PROJECT["dependencies"]}
 
 
 def _imports(path):
@@ -44,6 +50,13 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
     assert bad == []
 
 
+def test_metadata_names_the_package_version_and_entry_point():
+    # --version and every certificate's tool_version print __version__
+    assert PROJECT["version"] == purity_witness.__version__
+    module, _, name = PROJECT["scripts"]["purity-witness"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
+
+
 def test_counts_imports_no_package_module_but_errors():
     # the certify path: counts must not reach sequence (and numpy) again,
     # not even through an import inside a function
@@ -61,8 +74,7 @@ def test_counts_imports_no_package_module_but_errors():
 
 def test_src_parses_on_the_requires_python_floor():
     # the tests may run on a newer interpreter, which accepts newer syntax
-    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    floor = re.fullmatch(r">=(\d+)\.(\d+)", PROJECT["requires-python"])
     assert floor is not None
     files = sorted(SRC.glob("*.py"))
     assert files

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .quantum import (
-    BinaryMeasurement, DensityMatrix, Effect, _bloch_rows, pauli_dot, vector_length
-)
-from .sequence import LinearFunctional, ProtocolPair, b1_weights
+from .quantum import pauli_dot
+from .sequence import LinearFunctional, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
 
 QUBIT_GAP_TOL = 1e-6
@@ -32,8 +30,6 @@ QUDIT_GAP_TOL = 1e-5
 SOUNDNESS_TOL = 1e-7
 HIT_TOL = 1e-6  # a start hits when its value is within HIT_TOL of the best
 MAX_RESTARTS = 100_000  # each restart is a row of the lockstep engine's arrays
-
-_Z = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -72,59 +68,6 @@ class OptimizationReport:
             "attainable": self.attainable,
             "hit_rate": self.hit_rate,
         }
-
-
-def _block_state(length: float, vec: np.ndarray, d: int, rank: int = 2) -> DensityMatrix:
-    """(1_rank + length u.sigma)/rank (+) 0_(d-rank), with u.sigma on the
-    first two basis states, for u the unit vector along vec, or +z where vec
-    vanishes.  At rank 2 it is a post state (1 + length u.sigma)/2 (+)
-    0_(d-2), whose qubit block is ``bloch_to_density``'s; at rank d it is the
-    input (2/d)(1 + length u.sigma)/2 (+) 1_(d-2)/d."""
-    n = vector_length(vec)
-    m = np.zeros((d, d), dtype=complex)
-    m[2:rank, 2:rank] = np.eye(rank - 2) / rank
-    m[:2, :2] = _bloch_rows(*(length * (_Z if n < 1e-12 else vec / n)).tolist(), 1.0 / rank)
-    return DensityMatrix(m)
-
-
-def params_to_protocol(
-    params: np.ndarray, p: float, w: float, d: int
-) -> tuple[DensityMatrix, ProtocolPair]:
-    """Build the explicit protocol behind a B1 search point (a0, b0, a1, b1,
-    theta): the input and measure-and-prepare pair whose B1 is
-    ``kernels._objective(params, p, w, d)``, for cross-checking the
-    closed-form objective against the full matrix simulation.
-
-    The point is projected first.  The "+" effects are
-    E_(+|x) = a_x(1 + b_x c_x.sigma) (+) 1_(d-2), with c0 = z and c1 at
-    angle theta from it in the x-z plane.  With q_x = a_x b_x, both
-    outcomes of measurement 0 (1) re-prepare Bloch length w along
-    +(-)(q0 c0 - q1 c1) (+) 0, and the input is
-    (2/d)(1 + p n.sigma)/2 (+) 1_(d-2)/d with n along q0 X0 c0 + q1 X1 c1,
-    X_x = 1 + a_x - a_(1-x) + w |q0 c0 - q1 c1|; a vanishing direction
-    falls back to +z.
-    """
-    for name, val in (("p", p), ("w", w)):
-        if not 0.0 <= val <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1]")
-    if not isinstance(d, int) or d < 2:
-        raise DimensionError(f"d must be an int of at least 2, got {d!r}")
-    x = np.asarray(params, dtype=float)
-    if x.shape != (5,) or not math.isfinite(x[4]):
-        raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
-    a0, b0, a1, b1, theta = kernels.project(x)
-    q0, q1 = a0 * b0, a1 * b1
-    c0, c1 = _Z, np.array([math.sin(theta), 0.0, math.cos(theta)])
-    diff = q0 * c0 - q1 * c1
-    meas = []
-    for a, q, c, sign in ((a0, q0, c0, 1.0), (a1, q1, c1, -1.0)):
-        effect = np.eye(d, dtype=complex)
-        effect[:2, :2] = a * np.eye(2) + q * pauli_dot(c)
-        post = _block_state(w, sign * diff, d)
-        meas.append(BinaryMeasurement(Effect(effect), post, post))
-    wm = w * vector_length(diff)
-    x0, x1 = 1.0 + a0 - a1 + wm, 1.0 + a1 - a0 + wm
-    return _block_state(p, q0 * x0 * c0 + q1 * x1 * c1, d, d), ProtocolPair(*meas)
 
 
 def _search(objective, box, maxiter, restarts, seed, closed, project, attainable=None):
@@ -187,7 +130,7 @@ def maximize_b1_qudit_maxmixed(
     is 5/2 at d = 2, 8/3 at d = 3, and the ceiling max(3, 4(1 - 1/d)) for
     d >= 4.
     """
-    if d not in (3, 4, 5, 6):
+    if not isinstance(d, int) or d not in (3, 4, 5, 6):
         raise DomainError("d must be one of 3, 4, 5, 6")
     return _search(
         lambda x: kernels._objective(x, 0.0, 1.0, float(d)),

@@ -25,11 +25,12 @@ from .counts import B1_TERMS
 from .errors import DimensionError, DomainError
 from .quantum import (
     BinaryMeasurement,
-    BlochState,
     DensityMatrix,
     Effect,
-    bloch_to_density,
+    _bloch_rows,
+    bloch_to_density,  # not called here: perfbench's tracer wraps this name
     check_finite,
+    pauli_dot,
     trace_product,
 )
 
@@ -151,38 +152,90 @@ def _basis_projector(dim: int, k: int) -> np.ndarray:
     return m
 
 
-_UP = np.array([0.0, 0.0, 1.0])
-_DOWN = np.array([0.0, 0.0, -1.0])
+# (a0, b0, a1, b1, theta) with E_(+|0) = 1 and E_(+|1) = |0><0|
+_THEOREM2_POINT = (1.0, 0.0, 0.5, 1.0, 0.0)
 
 
-@functools.cache
-def _theorem2_parts() -> tuple[Effect, Effect, DensityMatrix]:
-    """The parts of the theorem 2 protocol that depend on neither p nor w,
-    validated on the first call (not at import, so that processes which
-    never simulate validate nothing)."""
-    return Effect(np.eye(2, dtype=complex)), Effect(_basis_projector(2, 0)), _maximally_mixed(2)
+def _block_state(length: float, vec, d: int, rank: int = 2) -> DensityMatrix:
+    """(1_rank + length u.sigma)/rank (+) 0_(d-rank), with u.sigma on the
+    first two basis states, for u the unit vector along the real 3-vector
+    vec, or +z where vec vanishes.  At rank 2 it is a post state
+    (1 + length u.sigma)/2 (+) 0_(d-2), whose qubit block is
+    ``bloch_to_density``'s; at rank d it is the input
+    (2/d)(1 + length u.sigma)/2 (+) 1_(d-2)/d.  u is found on Python floats."""
+    x, y, z = vec
+    n = math.hypot(x, y, z)
+    ux, uy, uz = (0.0, 0.0, 1.0) if n < 1e-12 else (x / n, y / n, z / n)
+    m = np.zeros((d, d), dtype=complex)
+    m[2:rank, 2:rank] = np.eye(rank - 2) / rank
+    m[:2, :2] = _bloch_rows(length * ux, length * uy, length * uz, 1.0 / rank)
+    return DensityMatrix(m)
+
+
+@functools.lru_cache(maxsize=1)
+def _search_effects(point: bytes, d: int) -> tuple[Effect, Effect]:
+    """The validated "+" effects a_x(1 + b_x c_x.sigma) (+) 1_(d-2) at a
+    search point, given as its bytes, kept for the next build at the same
+    point and d.  The key is bytes because 0.0 == -0.0, yet a0 = -0.0 gives
+    effects with other bytes than a0 = 0.0."""
+    a0, b0, a1, b1, theta = np.frombuffer(point).tolist()
+    effects = []
+    for a, b, c in ((a0, b0, (0.0, 0.0, 1.0)), (a1, b1, (math.sin(theta), 0.0, math.cos(theta)))):
+        m = np.eye(d, dtype=complex)
+        m[:2, :2] = a * np.eye(2) + a * b * pauli_dot(c)
+        effects.append(Effect(m))
+    return effects[0], effects[1]
+
+
+def params_to_protocol(params, p: float, w: float, d: int) -> tuple[DensityMatrix, ProtocolPair]:
+    """Build the explicit protocol behind a B1 search point (a0, b0, a1, b1,
+    theta): the input and measure-and-prepare pair whose B1 is
+    ``kernels._objective(params, p, w, d)``.
+
+    The point must lie on ``kernels.project``'s constraint set,
+    0 <= b_x <= 1 and 0 <= a_x <= 1/(1 + b_x), as the constant points here
+    and a search report's ``best_params`` do; it is checked, not projected.
+    The "+" effects are E_(+|x) = a_x(1 + b_x c_x.sigma) (+) 1_(d-2), with
+    c0 = z and c1 at angle theta from it in the x-z plane.  With
+    q_x = a_x b_x, both outcomes of measurement 0 (1) re-prepare Bloch
+    length w along +(-)(q0 c0 - q1 c1) (+) 0, and the input is
+    (2/d)(1 + p n.sigma)/2 (+) 1_(d-2)/d with n along q0 X0 c0 + q1 X1 c1,
+    X_x = 1 + a_x - a_(1-x) + w |q0 c0 - q1 c1|; a vanishing direction
+    falls back to +z.
+    """
+    for name, val in (("p", p), ("w", w)):
+        if not 0.0 <= val <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1]")
+    if not isinstance(d, int) or d < 2:
+        raise DimensionError(f"d must be an int of at least 2, got {d!r}")
+    x = np.asarray(params, dtype=float)
+    if x.shape != (5,) or not math.isfinite(x[4]):
+        raise DomainError(f"search point must be a 5-vector with finite theta, got {x}")
+    a0, b0, a1, b1, theta = x.tolist()
+    if not all(0.0 <= b <= 1.0 and 0.0 <= a <= 1.0 / (1.0 + b) for a, b in ((a0, b0), (a1, b1))):
+        raise DomainError(f"search point must have 0 <= b <= 1, 0 <= a <= 1/(1 + b), got {x}")
+    q0, q1 = a0 * b0, a1 * b1
+    s, c = math.sin(theta), math.cos(theta)
+    dx, dz = -q1 * s, q0 - q1 * c  # q0 c0 - q1 c1
+    posts = [_block_state(w, (sign * dx, 0.0, sign * dz), d) for sign in (1.0, -1.0)]
+    effects = _search_effects(x.tobytes(), d)
+    meas = [BinaryMeasurement(e, post, post) for e, post in zip(effects, posts)]
+    wm = w * math.hypot(dx, 0.0, dz)
+    x0, x1 = 1.0 + a0 - a1 + wm, 1.0 + a1 - a0 + wm
+    rho = _block_state(p, (q1 * x1 * s, 0.0, q0 * x0 + q1 * x1 * c), d, d)
+    return rho, ProtocolPair(*meas)
 
 
 def theorem2_protocol(p: float, w: float) -> tuple[DensityMatrix, ProtocolPair]:
     """Canonical qubit protocol attaining the constrained-purity maximum.
 
-    Initial state: Bloch length p along +z.  Measurement 0 announces "+"
-    deterministically and re-prepares Bloch length w along -z.  Measurement 1
-    projects onto the computational basis and re-prepares Bloch length w
-    along +z for either outcome.
+    The search builder at one point.  Initial state: Bloch length p along
+    +z.  Measurement 0 announces "+" deterministically and re-prepares Bloch
+    length w along -z for either outcome.  Measurement 1 projects onto the
+    computational basis and re-prepares Bloch length w along +z for either
+    outcome.
     """
-    if not (0.0 <= p <= 1.0 and 0.0 <= w <= 1.0):
-        raise DomainError("p and w must lie in [0, 1]")
-    effect_one, effect_up, half = _theorem2_parts()
-    rho_in = bloch_to_density(BlochState(p, _UP))
-    meas0 = BinaryMeasurement(
-        effect_plus=effect_one,
-        post_plus=bloch_to_density(BlochState(w, _DOWN)),
-        post_minus=half,
-    )
-    post1 = bloch_to_density(BlochState(w, _UP))
-    meas1 = BinaryMeasurement(effect_plus=effect_up, post_plus=post1, post_minus=post1)
-    return rho_in, ProtocolPair(meas0, meas1)
+    return params_to_protocol(_THEOREM2_POINT, p, w, 2)
 
 
 def _basis_measurement(effect, k: int, minus: DensityMatrix) -> BinaryMeasurement:

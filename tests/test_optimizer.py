@@ -8,7 +8,6 @@ import pytest
 from purity_witness import kernels
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.optimizer import (
-    _block_state,
     _effect_from_params,
     _functional_value,
     QUBIT_GAP_TOL,
@@ -21,7 +20,6 @@ from purity_witness.optimizer import (
     maximize_linear_functional,
     monotonicity_sweep,
     optimal_spectrum,
-    params_to_protocol,
 )
 from purity_witness.quantum import (
     BinaryMeasurement,
@@ -35,10 +33,12 @@ from purity_witness.quantum import (
 from purity_witness.sequence import (
     LinearFunctional,
     ProtocolPair,
+    _block_state,
     b1,
     b1_weights,
     correlations,
     evaluate_functional,
+    params_to_protocol,
 )
 from purity_witness.witness import b1_max_constrained, b1_max_initial
 
@@ -104,11 +104,12 @@ def test_qudit_best_params_reproduce_value_in_matrix_simulation(d):
             if d > 2:
                 assert np.array_equal(rho.matrix, np.eye(d) / d)
             assert b1(correlations(rho, protocol)) == pytest.approx(rep.best_value, abs=1e-9)
-        # ... and away from the optimum, past the box's faces
+        # ... and away from the optimum, past the box's faces, where the
+        # objective projects and the builder takes the projected point
         lo, hi = kernels.BOX
         rng = np.random.default_rng(3 if d == 2 else d)
         for x in rng.uniform(lo - 0.2, hi + 0.2, size=(20, 5)):
-            rho, protocol = params_to_protocol(x, p, w, d)
+            rho, protocol = params_to_protocol(kernels.project(x), p, w, d)
             assert b1(correlations(rho, protocol)) == pytest.approx(
                 kernels._objective(x, p, w, float(d)), abs=1e-12
             )
@@ -144,6 +145,13 @@ _MALFORMED_POINTS = [
     _POINT + [0.0],
     [math.nan] + _POINT[1:],
 ]
+# points off kernels.project's constraint set, which the builder checks
+# instead of projecting: a > 1/(1 + b), b < 0 and b > 1
+_OFF_CONSTRAINT_POINTS = [
+    [0.9, 0.2, 0.5, 0.2, 1.0],
+    [0.5, 0.2, 0.5, -0.1, 1.0],
+    [0.5, 1.1, 0.5, 0.2, 1.0],
+]
 _SEARCH_BUILDERS = {
     "qubit": lambda x, d: params_to_protocol(x, 0.5, 0.5, 2),
     "qudit": lambda x, d: params_to_protocol(x, 0.0, 1.0, d),
@@ -153,11 +161,13 @@ _SEARCH_BUILDERS = {
 @pytest.mark.parametrize(
     "builder,params,d,error",
     [(b, x, 3, DomainError) for b in _SEARCH_BUILDERS for x in _MALFORMED_POINTS]
-    + [("qudit", _POINT, d, DimensionError) for d in (3.5, 1, True)],
+    + [("qudit", _POINT, d, DimensionError) for d in (3.5, 1, True)]
+    + [(b, x, 3, DomainError) for b in _SEARCH_BUILDERS for x in _OFF_CONSTRAINT_POINTS],
 )
 def test_search_builders_reject_malformed_input_with_typed_errors(builder, params, d, error):
     # an infinite theta, a point of the wrong shape and a d that is no
-    # dimension used to end in math, index, unpacking or numpy errors
+    # dimension used to end in math, index, unpacking or numpy errors; a
+    # point off the constraint set is refused, not projected
     with pytest.raises(error):
         _SEARCH_BUILDERS[builder](params, d)
 
@@ -206,6 +216,16 @@ def test_qudit_search_domain():
         maximize_b1_qudit_maxmixed(7)
     with pytest.raises(DomainError):
         maximize_b1_qudit_maxmixed(4, restarts=0)
+
+
+@pytest.mark.parametrize("d", [3.0, np.int64(4), 3.5, True, 1])
+def test_qudit_search_and_builder_share_one_d_rule(d):
+    # a d that the search refuses, the builder refuses too, so a report's d
+    # can always be passed on to the builder; each raises its own type
+    with pytest.raises(DomainError, match="d must be one of 3, 4, 5, 6"):
+        maximize_b1_qudit_maxmixed(d, restarts=1)
+    with pytest.raises(DimensionError):
+        params_to_protocol(_POINT, 0.0, 1.0, d)
 
 
 @pytest.mark.parametrize(

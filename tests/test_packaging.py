@@ -4,7 +4,8 @@ Every import in ``src/purity_witness`` must be relative, from the standard
 library, or a runtime dependency in ``pyproject.toml`` (numpy), and its
 syntax must parse on the ``requires-python`` floor.  The metadata's version
 and console script are the package's own.  The package's exports resolve
-lazily, and the closed-form command-line paths start without numpy.
+lazily, the closed-form command-line paths start without numpy, and
+``simulate`` starts without the search modules.
 """
 
 import ast
@@ -143,6 +144,34 @@ def test_fresh_import_and_closed_form_cli_paths_load_no_numpy(tmp_path):
     assert not any(result["numpy_loaded"].values()), result["numpy_loaded"]
     assert json.loads(cert_path.read_text())["b1_hat"] > 0
     assert result["not_in_dir"] == [] and result["not_bound"] == []
+
+
+# simulate builds and samples a protocol: it loads numpy, quantum and
+# sequence, but not the search modules, which only verify loads
+SIMULATE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from purity_witness import cli
+argv = ["simulate", "theorem2", "--p", "0.5", "--w", "1", "--shots", "1000", "--seed", "1",
+        "-o", sys.argv[2]]
+code = cli.main(argv)
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if "purity" in m)}))
+"""
+
+
+def test_simulate_loads_no_search_module(tmp_path):
+    counts_path = tmp_path / "counts.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE_CHILD, str(SRC.parent), str(counts_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0 and json.loads(counts_path.read_text())["settings"]
+    assert "purity_witness.sequence" in result["loaded"]
+    assert not {"purity_witness.kernels", "purity_witness.optimizer"} & set(result["loaded"])
 
 
 def test_every_export_resolves_to_its_submodule():

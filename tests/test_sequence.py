@@ -4,14 +4,16 @@ import platform
 import numpy as np
 import pytest
 
-from purity_witness import kernels
+from purity_witness import kernels, sequence
 from purity_witness.certificate import certify
 from purity_witness.counts import SETTING_PAIRS, CountsRecord
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.quantum import (
     BinaryMeasurement,
+    BlochState,
     DensityMatrix,
     Effect,
+    bloch_to_density,
     trace_product,
 )
 from purity_witness.sequence import (
@@ -22,6 +24,7 @@ from purity_witness.sequence import (
     b1_weights,
     correlations,
     evaluate_functional,
+    params_to_protocol,
     qudit_maxmixed_protocol,
     qutrit_value4_protocol,
     theorem2_protocol,
@@ -147,6 +150,42 @@ def test_theorem2_domain():
         theorem2_protocol(1.2, 0.5)
     with pytest.raises(DomainError):
         theorem2_protocol(0.5, -0.1)
+
+
+def test_theorem2_protocol_is_the_paper_protocol_bytewise():
+    # the search builder at the theorem 2 point lays out the paper's states
+    # as the Bloch codec does, at the subnormal edges too; measurement 0's
+    # "-" post, reached with probability 0, is its "+" post
+    def bloch(length, z):
+        return bloch_to_density(BlochState(length, np.array([0.0, 0.0, z]))).matrix.tobytes()
+
+    axis = np.linspace(0.0, 1.0, 21)
+    points = [(float(p), float(w)) for p in axis for w in axis]
+    one, proj0 = np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)
+    for p, w in points + [(5e-324, 1.0), (1.0, 5e-324)]:
+        rho, protocol = theorem2_protocol(p, w)
+        m0, m1 = protocol.meas0, protocol.meas1
+        assert rho.matrix.tobytes() == bloch(p, 1.0)
+        assert m0.post_plus is m0.post_minus
+        assert m0.post_plus.matrix.tobytes() == bloch(w, -1.0)
+        for post in (m1.post_plus, m1.post_minus):
+            assert post.matrix.tobytes() == bloch(w, 1.0)
+        assert m0.effect_plus.matrix.tobytes() == one.tobytes()
+        assert m1.effect_plus.matrix.tobytes() == proj0.tobytes()
+
+
+def test_builder_reuses_effects_keyed_on_the_point_bytes():
+    # 0.0 == -0.0, yet a0 = -0.0 gives effects with other bytes; a build at
+    # -0.0 right after one at 0.0 must not be handed the cached 0.0 effects
+    zero, negative = [0.0, 0.5, 0.5, 1.0, 0.3], [-0.0, 0.5, 0.5, 1.0, 0.3]
+    sequence._search_effects.cache_clear()
+    _, fresh = params_to_protocol(negative, 0.5, 0.5, 2)
+    _, at_zero = params_to_protocol(zero, 0.5, 0.5, 2)
+    assert at_zero.effects.tobytes() != fresh.effects.tobytes()
+    _, again = params_to_protocol(zero, 0.5, 0.5, 2)
+    assert again.meas0.effect_plus is at_zero.meas0.effect_plus
+    _, cached = params_to_protocol(negative, 0.5, 0.5, 2)
+    assert cached.effects.tobytes() == fresh.effects.tobytes()
 
 
 def test_qutrit_value4():

@@ -20,8 +20,8 @@ Parameters are projected onto their constraint set (``project``) inside the
 objective, so the simplex search runs over a plain box.  Numpy calls, not
 arithmetic, bound a search: column views, a one-gather sort and one
 objective call per step keep them few.  An objective that is bound by its
-arithmetic instead (the general functional search, which calls LAPACK) pays
-for the points the step evaluates and does not use.
+arithmetic instead (the d = 3 functional search, two Jacobi runs a point)
+pays for the points the step evaluates and does not use.
 """
 
 from __future__ import annotations

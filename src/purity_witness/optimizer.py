@@ -13,6 +13,7 @@ verification.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .quantum import pauli_dot
 from .sequence import LinearFunctional, b1_weights
 from .witness import b1_max_constrained, b1_max_initial
 
@@ -187,42 +187,66 @@ def optimal_spectrum(g: np.ndarray, target_purity: float) -> tuple[float, np.nda
     return best_val[()], best_q
 
 
-def _hermitian_from_params(v: np.ndarray, d: int) -> np.ndarray:
-    """(..., d, d) Hermitian matrices from (..., d^2) parameters: the
-    diagonal, then the real and imaginary part of each upper entry."""
-    h = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    h[..., diag, diag] = v[..., :d]
-    rows, cols = np.triu_indices(d, 1)
-    upper = v[..., d::2] + 1j * v[..., d + 1 :: 2]
-    h[..., rows, cols] = upper
-    h[..., cols, rows] = upper.conj()
-    return h
+def _effects_from_params(v: np.ndarray, d: int) -> np.ndarray:
+    """The effects E = U diag(clip(lambda, 0, 1)) U^dagger and 1 - E, as real
+    and imaginary parts (2, d, d, ..., 2), from (..., d^2) parameters: d
+    eigenvalues, then (theta, phi) for each of the d(d - 1)/2 complex Givens
+    rotations of U = G_01 G_02 G_12, which mixes columns p and q by
+    cos(theta/2) and e^(i phi) sin(theta/2).  At d = 2 the first column is the
+    Bloch direction (theta, phi).  Only +, -, *, cos and sin are used, so the
+    bits do not depend on the CPU."""
+    lam = np.clip(v[..., :d], 0.0, 1.0)
+    lam = np.stack([lam, 1.0 - lam], axis=-1)  # the eigenvalues of E and 1 - E
+    batch = (1,) * (v.ndim - 1)
+    conj = np.array([1.0, -1.0]).reshape((2, 1) + batch)
+    cols = [np.stack([np.eye(d)[j], np.zeros(d)]).reshape((2, d) + batch) for j in range(d)]
+    for n, (p, q) in enumerate(itertools.combinations(range(d), 2)):
+        half, phi = 0.5 * v[..., d + 2 * n], v[..., d + 2 * n + 1]
+        c, s = np.cos(half), np.sin(half)
+        er, ei = s * np.cos(phi), s * np.sin(phi)
+        x, y, flip = cols[p], cols[q], ei * conj
+        # column p <- c x + e y, column q <- c y - conj(e) x, e = e^(i phi) sin
+        cols[p] = c * x + (er * y - flip * y[::-1])
+        cols[q] = c * y - (er * x + flip * x[::-1])
+    eff = 0.0
+    for k, (ur, ui) in enumerate(cols):  # sum_k lambda_k u_k u_k^dagger
+        part = np.stack([ur[:, None] * ur + ui[:, None] * ui, ui[:, None] * ur - ur[:, None] * ui])
+        eff = eff + part[..., None] * lam[..., k, :]
+    return eff
 
 
-def _effect_from_params(v: np.ndarray, d: int) -> np.ndarray:
-    """(..., d, d) effects from (..., npar) parameters: d eigenvalues
-    (clipped to [0, 1]), then the eigenbasis (Bloch angles for d = 2, the
-    generator of a unitary exp(iH) otherwise)."""
-    eigs = np.clip(v[..., :d], 0.0, 1.0)
-    if d == 2:
-        theta, phi = v[..., 2], v[..., 3]
-        direction = np.stack(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-            axis=-1,
-        )
-        proj = 0.5 * (np.eye(2) + pauli_dot(direction))
-        return eigs[..., :1, None] * proj + eigs[..., 1:, None] * (np.eye(2) - proj)
-    # exp(iH) = V e^(i lambda) V^dagger from the eigendecomposition of H
-    lam, vec = np.linalg.eigh(_hermitian_from_params(v[..., d:], d))
-    u = (vec * np.exp(1j * lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
-    return (u * eigs[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
-def _n_effect_params(d: int) -> int:
-    if d == 2:
-        return 4
-    return d + d * d
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., d) of the Hermitian matrices whose real
+    and imaginary parts m (2, d, d, ...) holds, d = 2 or 3, by cyclic complex
+    Jacobi: one exact rotation at d = 2, four sweeps of three at d = 3.  Each
+    rotation zeroes a_pq with the phase of a_pq folded in and never divides
+    by |a_pq|; it uses only +, -, *, /, sqrt, hypot and copysign, so the bits
+    do not depend on the CPU."""
+    d, tiny = m.shape[1], np.finfo(float).tiny
+    conj = np.array([1.0, -1.0]).reshape((2,) + (1,) * (m.ndim - 3))
+    diag = [m[0, i, i] for i in range(d)]
+    off = {(i, j): m[:, i, j] for i in range(d) for j in range(d) if i != j}
+    for p, q in list(itertools.combinations(range(d), 2)) * (1 if d == 2 else 4):
+        a = off[p, q]
+        r = np.hypot(a[0], a[1])  # |a_pq|, never squared, so it does not underflow
+        r2, diff = 2.0 * r, diag[q] - diag[p]
+        # den >= 2 |a_pq|, and it is 0 only where a_pq = 0 and diff = 0;
+        # raised to the smallest normal float it keeps u = tan(angle) / |a_pq|
+        # finite, and tan = u |a_pq| and sigma = u a_pq at most 1 in size
+        den = np.maximum(np.abs(diff) + np.hypot(diff, r2), tiny)
+        u = np.copysign(2.0, diff) / den
+        shift = u * r * r
+        diag[p], diag[q] = diag[p] - shift, diag[q] + shift
+        for k in [k for k in range(d) if k not in (p, q)]:  # none at d = 2
+            sigma, c = u * a, den / np.hypot(den, r2)  # c = 1 / sqrt(1 + tan^2)
+            flip = sigma[1] * conj
+            x, y = off[k, p], off[k, q]
+            # A_kp <- c (A_kp - conj(sigma) A_kq), A_kq <- c (sigma A_kp + A_kq)
+            kp = c * (x - (sigma[0] * y + flip * y[::-1]))
+            kq = c * ((sigma[0] * x - flip * x[::-1]) + y)
+            off[k, p], off[p, k], off[k, q], off[q, k] = kp, kp * conj, kq, kq * conj
+        off[p, q] = off[q, p] = 0.0 * conj
+    return np.sort(np.stack(diag, axis=-1), axis=-1, kind="stable")
 
 
 def _functional_value(
@@ -230,26 +254,19 @@ def _functional_value(
 ) -> np.ndarray:
     """Exact maximum of the functional over states, for fixed effects.
 
-    params (..., 2 npar) holds the parameters of E_(+|0), then E_(+|1).
+    params (..., 2 dim^2) holds the parameters of E_(+|0), then E_(+|1).
     Post states are top eigenvectors of F_(a|x) = sum_by w[a,b,x,y] E_(b|y);
     the initial state aligns an optimal fixed-purity spectrum with the
     eigenbasis of G = sum_ax s_(a|x) E_(a|x).  The sums run over explicit
     terms, so every row gets the same arithmetic whatever the batch shape.
+    Matrices are carried as real and imaginary parts (2, d, d, ...).
     """
-    plus = _effect_from_params(params.reshape(params.shape[:-1] + (2, -1)), dim)
-    eff = np.stack([plus, np.eye(dim) - plus], axis=-3)  # (..., x, a, d, d)
-    f = sum(
-        weights[:, b, :, y, None, None] * eff[..., y, b, None, None, :, :]
-        for b in range(2)
-        for y in range(2)
-    )
-    s = np.linalg.eigvalsh(f)[..., -1]  # (..., a, x)
-    g = sum(
-        s[..., a, x, None, None] * eff[..., x, a, :, :]
-        for a in range(2)
-        for x in range(2)
-    )
-    return optimal_spectrum(np.linalg.eigvalsh(g)[..., ::-1], pur)[0]
+    eff = _effects_from_params(params.reshape(params.shape[:-1] + (2, -1)), dim)
+    # eff (2, d, d, ..., x, a) holds E_(a|x)
+    f = sum(weights[:, b, :, y] * eff[..., y, b, None, None] for b in range(2) for y in range(2))
+    s = _eigvalsh(f)[..., -1]  # (..., a, x)
+    g = sum(s[..., a, x] * eff[..., x, a] for a in range(2) for x in range(2))
+    return optimal_spectrum(_eigvalsh(g)[..., ::-1], pur)[0]
 
 
 def maximize_linear_functional(
@@ -261,17 +278,19 @@ def maximize_linear_functional(
 ) -> OptimizationReport:
     """Maximize a linear functional of the correlations at fixed purity.
 
-    Searches over both effects (eigenvalues plus eigenbasis); post states
-    and the initial state are resolved exactly inside the objective, so the
-    reported value is attainable by an explicit protocol.  The reported
-    eigenvalue entries are clipped to [0, 1], as the objective sees them.
+    Searches over both effects, dim^2 parameters each: dim eigenvalues,
+    then an angle and a phase for each Givens rotation of the eigenbasis
+    (``_effects_from_params``); post states and the initial state are
+    resolved exactly inside the objective, so the reported value is
+    attainable by an explicit protocol.  The reported eigenvalue entries are
+    clipped to [0, 1], as the objective sees them.  dim is a Python int.
     """
-    if dim not in (2, 3):
+    if not isinstance(dim, int) or dim not in (2, 3):
         raise DimensionError("dim must be 2 or 3")
     if not 1.0 / dim - 1e-12 <= purity <= 1.0 + 1e-12:
         raise DomainError("purity must lie in [1/dim, 1]")
     pur = min(max(purity, 1.0 / dim), 1.0)
-    npar = _n_effect_params(dim)
+    npar = dim * dim
     weights = f.weights
     # eigenvalue entries start in [0, 1], angles in [-pi, pi]
     eig = np.arange(2 * npar) % npar < dim

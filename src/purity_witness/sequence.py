@@ -167,7 +167,7 @@ def _block_state(length: float, vec, d: int, rank: int = 2) -> DensityMatrix:
     n = math.hypot(x, y, z)
     ux, uy, uz = (0.0, 0.0, 1.0) if n < 1e-12 else (x / n, y / n, z / n)
     m = np.zeros((d, d), dtype=complex)
-    m[2:rank, 2:rank] = np.eye(rank - 2) / rank
+    m.flat[2 * (d + 1) : rank * (d + 1) : d + 1] = 1.0 / rank  # diagonal entries 2..rank-1
     m[:2, :2] = _bloch_rows(length * ux, length * uy, length * uz, 1.0 / rank)
     return DensityMatrix(m)
 

@@ -8,7 +8,7 @@ import pytest
 from purity_witness import kernels
 from purity_witness.errors import DimensionError, DomainError
 from purity_witness.optimizer import (
-    _effect_from_params,
+    _effects_from_params,
     _functional_value,
     QUBIT_GAP_TOL,
     QUDIT_GAP_TOL,
@@ -28,6 +28,7 @@ from purity_witness.quantum import (
     Effect,
     bloch_to_density,
     density_to_bloch,
+    pauli_dot,
     vector_length,
 )
 from purity_witness.sequence import (
@@ -324,8 +325,11 @@ def test_functional_search_dim3_values():
 
 
 def test_functional_search_validation():
-    with pytest.raises(DimensionError):
-        maximize_linear_functional(b1_weights(), 4, 1.0)
+    # dim is a Python int, 2 or 3: a float used to end in a bare TypeError,
+    # and a numpy integer was searched
+    for dim in (4, 1, 2.0, 3.0, np.int64(3), True):
+        with pytest.raises(DimensionError):
+            maximize_linear_functional(b1_weights(), dim, 1.0)
     with pytest.raises(DomainError):
         maximize_linear_functional(b1_weights(), 2, 0.3)
 
@@ -346,6 +350,24 @@ def _p00_weights():
     return LinearFunctional(w)
 
 
+def test_givens_effect_at_d2_is_the_bloch_angle_effect():
+    # with the half angle, the d = 2 effect is lambda_0 P + lambda_1 (1 - P)
+    # for P the projector on the Bloch direction (theta, phi)
+    v = np.random.default_rng(8).uniform(-math.pi, math.pi, size=(50, 4))
+    v[:, :2] = np.random.default_rng(9).uniform(-0.5, 1.5, size=(50, 2))
+    re, im = _effects_from_params(v, 2)
+    for i, x in enumerate(v):
+        theta, phi = x[2], x[3]
+        n = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        proj = 0.5 * (np.eye(2) + pauli_dot(n))
+        lam0, lam1 = np.clip(x[:2], 0.0, 1.0)
+        plus = lam0 * proj + lam1 * (np.eye(2) - proj)
+        for a, expected in enumerate((plus, np.eye(2) - plus)):
+            np.testing.assert_allclose(
+                re[:, :, i, a] + 1j * im[:, :, i, a], expected, rtol=0, atol=1e-15
+            )
+
+
 def test_functional_search_reports_feasible_params():
     rep = maximize_linear_functional(b1_weights(), 2, 1.0, restarts=5, seed=1)
     eigs = rep.best_params.reshape(2, 4)[:, :2]
@@ -359,7 +381,8 @@ def _functional_protocol(f, params, dim, pur):
     searched effects, "+"/"-" post states on the top eigenvectors of
     F_(a|x) = sum_by w[a,b,x,y] E_(b|y), and the optimal spectrum in the
     eigenbasis of G = sum_ax s_(a|x) E_(a|x)."""
-    plus = [_effect_from_params(v, dim) for v in params.reshape(2, -1)]
+    re, im = _effects_from_params(params.reshape(2, -1), dim)  # each (d, d, x, a)
+    plus = [re[:, :, x, 0] + 1j * im[:, :, x, 0] for x in range(2)]
     eff = [[e, np.eye(dim) - e] for e in plus]  # eff[x][a] = E_(a|x)
     posts = [[None, None], [None, None]]
     g = np.zeros((dim, dim), dtype=complex)
@@ -574,18 +597,17 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 
 # sha256 of per_start.tobytes() + best_params.tobytes() for each search, as
 # computed with the engine's plain np.clip/take_along_axis forms; any change to
-# the arithmetic of the engine or of the objective shows here, so a digest is
+# the arithmetic of the engine or of an objective shows here, so a digest is
 # never regenerated to let a change pass.  They hold for numpy 2.4 on x86-64.
 # The qubit entries were taken again when the qubit search moved from the
 # coordinates (r, q) to the qudit search's (a, b): its starts, simplices and
 # reported points are now in other coordinates, while the qudit entries held.
-# The B1 entries hold at every dispatch level, baseline x86-64 included (see
-# the test below), and under any OpenBLAS kernel, since the B1 searches call
-# no BLAS or LAPACK.  The functional search's eigh/eigvalsh calls follow the
-# OpenBLAS kernel and its complex arithmetic the dispatch level, so its digest
-# is pinned apart, under the Haswell kernel, which every x86-64 CPU with AVX2
-# can run: it read d024700f00af... under the AVX-512 kernel, 0da971a6e8a4...
-# under Prescott, and db7acd49c65c... at baseline dispatch.
+# The functional entry was taken again when that search moved to Givens
+# effects and Jacobi eigenvalues in real arithmetic, which changed its
+# parameters and every value it computes.  No search calls BLAS or LAPACK or
+# a ufunc whose bits follow numpy's dispatch level, so every entry holds at
+# every dispatch level, baseline x86-64 included, and under any OpenBLAS
+# kernel (see the tests below).
 _SEARCH_DIGESTS = {
     ("qubit", 0.25, 0.25): "c60c5ca194c790c5bd1e7ae6eb105e9bdb3fef02d2c27aabc6f6942344f201b7",
     ("qubit", 0.5, 0.75): "72bea857a1f2f961afd0e8c00340c71f25d16fb4f6a81ec78c152c3fe88440c2",
@@ -594,8 +616,8 @@ _SEARCH_DIGESTS = {
     ("qudit", 4): "8611bea045a14abfae11677f592e9548bc6b39f66540828f93eaed3be2e05b02",
     ("qudit", 5): "6e7f6506a1053803b74f9ddeabce923484da087a4425ee4f38fa7c6368eacac5",
     ("qudit", 6): "32611f5447d3d7440059e0ed7a60b3d7c2a104df71433ad72ca597382801aeb3",
+    ("functional", 3): "60678959f9b9958a5fb3fff3f6d102208bff3f59091bdcaf8ca85461f156a653",
 }
-_FUNCTIONAL_HASWELL_DIGEST = "f7a9d242943ce4b8a16000ded1932b6506840ea7fe91e99f1dbd747cc5676006"
 
 _SEARCHES = {
     **{
@@ -610,7 +632,6 @@ _SEARCHES = {
         b1_weights(), 3, 0.6, restarts=2, seed=0
     ),
 }
-_B1_SEARCHES = [key for key in _SEARCHES if key[0] != "functional"]
 
 
 def _search_digests(keys):
@@ -635,14 +656,15 @@ def _search_digests(keys):
 
 
 def test_search_outputs_match_pinned_digests():
-    assert dict(zip(_B1_SEARCHES, _search_digests(_B1_SEARCHES))) == _SEARCH_DIGESTS
+    assert dict(zip(_SEARCHES, _search_digests(list(_SEARCHES)))) == _SEARCH_DIGESTS
 
 
-def _run_searches(keys, env):
-    """The numpy dispatch targets left on and the digests of the searches
-    named in keys, run in a fresh interpreter under env."""
+def _run_searches(env):
+    """The numpy dispatch targets left on, the OpenBLAS core name (or None)
+    and the digest of every search, run in a fresh interpreter under env."""
+    keys = list(_SEARCHES)
     out = run_fresh("test_optimizer", "_search_digests", [keys], env)
-    return out["dispatch"], dict(zip(keys, out["result"]))
+    return out["dispatch"], out["core"], dict(zip(keys, out["result"]))
 
 
 _ON_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
@@ -651,37 +673,22 @@ _ON_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
 @pytest.mark.skipif(not _ON_X86_64, reason="the switched-off targets are x86-64 ones")
 def test_b1_search_digests_hold_at_baseline_dispatch():
     # numpy's AVX2 and AVX-512 kernels switched off: the sort and every
-    # objective run on baseline x86-64 code, and the digests must not move
-    dispatch, digests = _run_searches(
-        _B1_SEARCHES, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    # objective run on baseline x86-64 code, and no digest may move
+    dispatch, _, digests = _run_searches(
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
     )
     assert dispatch == []
     assert digests == _SEARCH_DIGESTS
 
 
-def _has_x86_v3() -> bool:
-    # numpy's AVX2 level: AVX2, FMA3 and their companions
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    return bool(__cpu_features__.get("X86_V3"))
-
-
-@pytest.mark.skipif(
-    not (_ON_X86_64 and _has_x86_v3()),
-    reason="the Haswell kernel and numpy's AVX2 targets need an x86-64 CPU with AVX2",
-)
-@pytest.mark.parametrize(
-    "disabled", ["", "X86_V4 AVX512_ICL AVX512_SPR"], ids=["default_dispatch", "avx2_dispatch"]
-)
-def test_functional_search_digest_pinned_under_haswell_kernel(disabled):
-    # OpenBLAS's Haswell kernel forced, at numpy's default dispatch and with
-    # its AVX-512 targets switched off
-    dispatch, digests = _run_searches(
-        [("functional", 3)], {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": disabled}
-    )
-    if disabled:
-        assert dispatch == ["X86_V3"]
-    assert digests == {("functional", 3): _FUNCTIONAL_HASWELL_DIGEST}
+@pytest.mark.skipif(not _ON_X86_64, reason="the forced OpenBLAS kernel is an x86-64 one")
+def test_search_digests_hold_under_the_prescott_kernel():
+    # OpenBLAS's Prescott kernel, which every x86-64 CPU runs, forced at
+    # numpy's default dispatch: no search calls BLAS, so no digest moves.
+    # The bundled OpenBLAS 0.3.31 names the kernel it then runs Katmai
+    _, core, digests = _run_searches({"OPENBLAS_CORETYPE": "Prescott"})
+    assert core in (None, "Prescott", "Katmai")
+    assert digests == _SEARCH_DIGESTS
 
 
 @pytest.mark.parametrize("search", [0, 1])
@@ -722,7 +729,7 @@ def test_objectives_broadcast_like_scalar_calls():
     # the general-functional objective: eigenvalue entries outside [0, 1]
     # exercise its clipping
     weights = np.random.default_rng(6).normal(size=(2, 2, 2, 2))
-    for dim, npar in ((2, 4), (3, 12)):
+    for dim, npar in ((2, 4), (3, 9)):
         pts = np.random.default_rng(dim).uniform(-0.5, 1.5, size=(7, 3, 2 * npar))
         batch = _functional_value(weights, pts, dim, 0.7)
         assert batch.shape == (7, 3)

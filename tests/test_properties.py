@@ -35,7 +35,7 @@ from purity_witness.counts import (
 )
 from purity_witness.errors import CountsFormatError, DomainError
 from purity_witness import certificate, kernels, quantum
-from purity_witness.optimizer import MAX_RESTARTS
+from purity_witness.optimizer import MAX_RESTARTS, _eigvalsh
 from purity_witness.quantum import (
     HERM_TOL,
     PSD_SLACK,
@@ -259,6 +259,43 @@ def test_qubit_closed_form_spectrum_matches_eigvalsh(m):
     ev = np.linalg.eigvalsh(m)
     assert abs(lo - ev[0]) <= _eig_bound(m)
     assert abs(hi - ev[1]) <= _eig_bound(m)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """2 x 2 and 3 x 3 Hermitian matrices: a free, repeated or nearly
+    repeated spectrum, a projector's or zero, in a drawn unitary eigenbasis
+    or the computational one; exactly Hermitian."""
+    d = draw(st.sampled_from([2, 3]))
+    free = st.floats(-2.0, 2.0)
+    kind = draw(st.sampled_from(["free", "repeated", "projector", "zero"]))
+    if kind == "free":
+        lam = [draw(free) for _ in range(d)]
+    elif kind == "repeated":
+        l0 = draw(free)
+        split = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5]))
+        lam = [l0, l0 + split, draw(st.just(l0) | free)][:d]
+    elif kind == "projector":
+        rank = draw(st.integers(1, d - 1))
+        lam = [1.0] * rank + [0.0] * (d - rank)
+    else:
+        lam = [0.0] * d
+    u = np.eye(d)
+    if draw(st.booleans()):
+        z = draw(arrays(float, (2, d, d), elements=st.floats(-1.0, 1.0)))
+        u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(deterministic, max_examples=500)
+@given(hermitian_matrices())
+def test_jacobi_eigenvalues_match_eigvalsh(m):
+    # the functional search's real-arithmetic eigenvalues, ascending, within
+    # the bound of the qubit closed form; degenerate input raises no warning
+    ev = _eigvalsh(np.stack([m.real, m.imag]))
+    assert list(ev) == sorted(ev)
+    assert np.abs(ev - np.linalg.eigvalsh(m)).max() <= _eig_bound(m)
 
 
 def _accepts(cls, m):

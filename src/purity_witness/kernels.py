@@ -19,9 +19,10 @@ at p = 0 and w = 1.
 Parameters are projected onto their constraint set (``project``) inside the
 objective, so the simplex search runs over a plain box.  Numpy calls, not
 arithmetic, bound a search: column views, a one-gather sort and one
-objective call per step keep them few.  An objective that is bound by its
-arithmetic instead (the d = 3 functional search, two Jacobi runs a point)
-pays for the points the step evaluates and does not use.
+objective call per step keep them few.  The d = 3 functional search is no
+exception: on the few rows a search keeps active, each Jacobi rotation of
+its objective is about 30 ufunc calls, so a step's four points cost about
+what one would.
 """
 
 from __future__ import annotations
@@ -92,48 +93,69 @@ def _objective(params, p, w, d):
     return value + 2.0 / d * p * np.sqrt(np.maximum(m_sq, 0.0))
 
 
-def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
-    """Maximize objective from every row of x0; [lo, hi] sizes the simplex.
+def multistart_maximize(objective, starts, lo, hi, maxiter):
+    """Run a restarted simplex search from every start; keep the best.
 
+    objective maps a ``(..., n)`` array of points to ``(...)`` values, and
+    [lo, hi] sizes the initial simplex around each row of starts ``(B, n)``.
     Standard Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2) on the negated objective, one simplex per row, all advanced
-    in lockstep; a simplex leaves the active set once it converges (FTOL,
-    XTOL).  Each step evaluates all four candidates of every active simplex
-    in one ``(B, 4, n)`` objective call and keeps the one that the standard
-    acceptance tests pick, so every row follows the one-simplex-at-a-time
-    method bit for bit; a shrink evaluates its n new vertices in a second
-    call.  Each step sorts the vertices stably, so tied vertices keep their
-    order on every CPU.  At ``maxiter`` a row reports its best vertex as it
-    stands, which the step leaves unsorted.  Returns (best_values,
-    best_points), one per row.
-    """
-    n_rows, n = x0.shape
-    step = 0.1 * (hi - lo)
-    pts = np.repeat(x0[:, None, :], n + 1, axis=1)
-    up = x0 + step
-    diag = np.arange(n)
-    pts[:, diag + 1, diag] = np.where(up > hi, x0 - step, up)
-    vals = -objective(pts)
-    rows = np.arange(n_rows)
-    line = np.arange(n_rows)  # index of each active row into the active arrays
-    gather = line[:, None]
-    best_val = np.empty(n_rows)
-    best_x = np.empty((n_rows, n))
+    shrink 1/2) on the negated objective, one simplex per start, all
+    advanced in lockstep.  Each step evaluates all four candidates of every
+    active simplex in one ``(B, 4, n)`` objective call and keeps the one
+    that the standard acceptance tests pick, so every row follows the
+    one-simplex-at-a-time method bit for bit; a shrink evaluates its n new
+    vertices in a second call.  Each step first sorts the vertices stably,
+    so tied vertices keep their order on every CPU.
 
-    for _ in range(maxiter):
+    A run ends once its simplex converges (FTOL, XTOL) or after ``maxiter``
+    steps, with its best vertex.  Once every run has ended, the starts
+    whose run gained more than 1e-13 on the one before run again from a
+    fresh simplex around that vertex, up to four runs in all; this frees
+    simplices that collapse short of a maximum.  Ties go to the earlier
+    start.  Returns (best_value, best_params, per_start_values).
+    """
+    n_rows, n = starts.shape
+    size = 0.1 * (hi - lo)
+    diag = np.arange(n)
+    best_val = np.full(n_rows, -np.inf)
+    best_x = starts.astype(float)  # each start's best vertex; a run begins there
+    again = np.ones(n_rows, dtype=bool)  # the starts of the next run
+    rows = np.empty(0, dtype=int)  # the starts of the current run still active
+    runs = 0
+
+    while True:
+        if rows.size == 0:  # every run has ended: the next one begins
+            rows = np.flatnonzero(again)
+            if rows.size == 0 or runs == 4:
+                break
+            again[:] = False
+            runs, step = runs + 1, 0
+            x = best_x[rows]
+            pts = np.repeat(x[:, None, :], n + 1, axis=1)
+            up = x + size
+            pts[:, diag + 1, diag] = np.where(up > hi, x - size, up)
+            vals = -objective(pts)
+            line = np.arange(rows.size)  # index of each active row into the active arrays
+            gather = line[:, None]
+
         order = np.argsort(vals, axis=1, kind="stable")
         pts, vals = pts[gather, order], vals[gather, order]
         done = vals[:, n] - vals[:, 0] < FTOL
         if done.any():  # the vertex spread only matters where FTOL holds
             near = pts[done]
             done[done] = np.abs(near[:, 1:] - near[:, :1]).reshape(len(near), -1).max(1) < XTOL
-            if done.any():
-                best_val[rows[done]] = -vals[done, 0]
-                best_x[rows[done]] = pts[done, 0]
-                pts, vals, rows = pts[~done], vals[~done], rows[~done]
-                if rows.size == 0:
-                    return best_val, best_x
-                line, gather = line[: rows.size], gather[: rows.size]
+        if step == maxiter:
+            done[:] = True
+        if done.any():
+            r, val = rows[done], -vals[done, 0]
+            again[r] = val > best_val[r] + 1e-13
+            gained = val > best_val[r]
+            best_val[r[gained]] = val[gained]
+            best_x[r[gained]] = pts[done, 0][gained]
+            pts, vals, rows = pts[~done], vals[~done], rows[~done]
+            if rows.size == 0:
+                continue
+            line, gather = line[: rows.size], gather[: rows.size]
 
         # the four candidates in one objective call: reflection, expansion
         # and the outside and inside contractions, each with the arithmetic
@@ -163,33 +185,7 @@ def _nelder_mead_batch(objective, x0, lo, hi, maxiter):
             vals[shrink, 1:] = -objective(shrunk)
         else:
             pts[:, n], vals[:, n] = new_pt, new_val
+        step += 1
 
-    last = np.argmin(vals, axis=1)
-    best_val[rows] = -vals[line, last]
-    best_x[rows] = pts[line, last]
-    return best_val, best_x
-
-
-def multistart_maximize(objective, starts, lo, hi, maxiter):
-    """Run a restarted simplex search from every start; keep the best.
-
-    objective maps a ``(..., n)`` array of points to ``(...)`` values, and
-    [lo, hi] sizes the initial simplex around each row of starts ``(B, n)``.
-    Each start gets up to three simplex re-runs from its own optimum to
-    escape collapsed simplices; a start stops re-running once a re-run gains
-    no more than 1e-13.  Ties go to the earlier restart.  Returns
-    (best_value, best_params, per_start_values).
-    """
-    val, x = _nelder_mead_batch(objective, starts, lo, hi, maxiter)
-    active = np.arange(starts.shape[0])
-    for _ in range(3):
-        if active.size == 0:
-            break
-        val2, x2 = _nelder_mead_batch(objective, x[active], lo, hi, maxiter)
-        old = val[active]
-        gained = val2 > old
-        val[active[gained]] = val2[gained]
-        x[active[gained]] = x2[gained]
-        active = active[val2 > old + 1e-13]
-    best = int(np.argmax(val))
-    return val[best], x[best].copy(), val
+    best = int(np.argmax(best_val))
+    return best_val[best], best_x[best].copy(), best_val

@@ -255,7 +255,11 @@ def qutrit_value4_protocol() -> tuple[DensityMatrix, ProtocolPair]:
 
 
 def qudit_maxmixed_protocol(d: int) -> tuple[DensityMatrix, ProtocolPair]:
-    """Maximally mixed input protocol reaching B1 = 4(1 - 1/d) for d >= 4."""
+    """Maximally mixed input protocol reaching B1 = 4(1 - 1/d) for d >= 4.
+
+    d must be a Python ``int``, as for ``params_to_protocol``."""
+    if not isinstance(d, int):
+        raise DimensionError(f"d must be an int, got {d!r}")
     if d < 4:
         raise DomainError("qudit_maxmixed_protocol requires d >= 4")
     mixed = _maximally_mixed(d)

@@ -343,6 +343,17 @@ def test_functional_search_respects_general_weights():
     assert rep.best_value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_functional_search_runs_a_start_again_from_its_optimum():
+    # random weights at d = 3, one start: its first simplex collapses at
+    # 2.1308, and the runs from its own optimum reach 2.9659.  On other
+    # draws, 4 x the starts or 4 x maxiter of single runs did not recover
+    # the value these runs reach
+    rng = np.random.default_rng(2025)
+    weights = [rng.normal(size=(2, 2, 2, 2)) for _ in range(29)][-1]
+    rep = maximize_linear_functional(LinearFunctional(weights), 3, 0.6, restarts=1, seed=28)
+    assert rep.best_value >= 2.96592417324
+
+
 def _p00_weights():
     """The general weights above: only p(++|00) counts."""
     w = np.zeros((2, 2, 2, 2))
@@ -518,7 +529,7 @@ def test_lockstep_search_matches_scalar_reference_bitwise(search):
 
 
 @pytest.mark.parametrize("search", [0, 1])
-@pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
+@pytest.mark.parametrize("maxiter", [0, 1, 2, 5, 40])
 def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(search, maxiter):
     # no simplex converges within 40 steps from these starts, so every run
     # ends at maxiter and reports the best of its vertices as they stand

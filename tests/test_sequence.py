@@ -350,6 +350,13 @@ def test_qudit_maxmixed_domain():
         qudit_maxmixed_protocol(3)
 
 
+@pytest.mark.parametrize("d", [4.0, 4.5, float("nan"), float("inf"), np.int64(5)])
+def test_qudit_maxmixed_rejects_d_that_is_not_an_int(d):
+    # the builder's rule for d: a typed error, not numpy's TypeError
+    with pytest.raises(DimensionError, match="d must be an int"):
+        qudit_maxmixed_protocol(d)
+
+
 def test_qubit_ceiling_over_random_protocols():
     # dimension-witness property: no qubit protocol exceeds 3.  B1 is linear
     # in each state, so for fixed effects the optimal pure states (p = w = 1)

@@ -20,7 +20,6 @@ from typing import Optional
 
 from . import __version__
 from .counts import CountsRecord, estimate_b1
-from .errors import QubitAssumptionError
 from .witness import (
     B1_QUBIT_MAX,
     ConcurrenceBound,
@@ -133,17 +132,14 @@ def certify(rec: CountsRecord, delta: float = 0.05) -> WitnessCertificate:
     """Evaluate all witness bounds on a counts record.
 
     A ceiling on B1 rejects a record only when even the confidence-adjusted
-    value exceeds it: QubitAssumptionError above the qubit ceiling of 3,
-    and, with a claimed initial purity P, ConsistencyError above the claim's
-    ceiling ``witness.b1_ceiling_for_purity(P)``.  A point estimate above a
+    value exceeds it: ``witness`` raises QubitAssumptionError above the
+    qubit ceiling of 3, and, with a claimed initial purity P,
+    ConsistencyError above the claim's ceiling
+    ``witness.b1_ceiling_for_purity(P)``.  A point estimate above a
     ceiling that is still statistically compatible with it is clamped to
     that ceiling for the point bounds.
     """
     b1_hat, b1_low = estimate_b1(rec, delta)
-    if b1_low > B1_QUBIT_MAX:
-        raise QubitAssumptionError(
-            f"confidence-adjusted B1 = {b1_low} exceeds the qubit maximum 3"
-        )
     claimed = rec.claimed_initial_purity
     conf = _bounds(max(b1_low, 0.0), claimed)
     point = _bounds(min(b1_hat, B1_QUBIT_MAX), claimed, clamp=True)

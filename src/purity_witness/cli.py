@@ -107,7 +107,7 @@ def _simulated_record(args) -> CountsRecord:
     rng = np.random.default_rng(seed)
     counts = {}
     for x, y in SETTING_PAIRS:
-        probs = np.clip(table.probs[:, :, x, y].ravel(), 0.0, None)
+        probs = table.probs[:, :, x, y].ravel()
         draw = rng.multinomial(args.shots, probs / probs.sum())
         counts[(x, y)] = dict(zip(OUTCOME_KEYS, map(int, draw)))
     return CountsRecord(label=label, claimed_initial_purity=claimed, counts=counts)

@@ -145,19 +145,16 @@ def maximize_b1_qudit_maxmixed(
 # ---------------------------------------------------------------------------
 
 
-def optimal_spectrum(g: np.ndarray, target_purity: float) -> tuple[float, np.ndarray]:
-    """Maximize sum(q_i g_i) over the simplex with sum(q_i^2) fixed.
+def _optimal_spectrum(g: np.ndarray, pur: float) -> tuple[float, np.ndarray]:
+    """Maximize sum(q_i g_i) over the simplex with sum(q_i^2) = pur, which
+    the search has checked and clamped to [1/d, 1].
 
     g is sorted descending along its last axis; leading axes broadcast.  The
     optimum puts support on a top segment and is linear in the deviation of
     g from its segment mean.  Returns the maximal values (a float for 1-D g)
     and the optimal eigenvalue vectors (same shape as g).
     """
-    g = np.asarray(g, dtype=float)
     d = g.shape[-1]
-    if not 1.0 / d - 1e-12 <= target_purity <= 1.0 + 1e-12:
-        raise DomainError("target purity must lie in [1/d, 1]")
-    pur = min(max(target_purity, 1.0 / d), 1.0)
     best_val = np.full(g.shape[:-1], -np.inf)
     best_q = np.zeros(g.shape)
     for k in range(1, d + 1):
@@ -167,9 +164,9 @@ def optimal_spectrum(g: np.ndarray, target_purity: float) -> tuple[float, np.nda
         mean = gs.mean(axis=-1)
         dev = gs - mean[..., None]
         nd = (dev * dev).sum(axis=-1)
-        # constant segment: any feasible q gives the same value; mix the
-        # uniform point with a vertex to meet the purity
-        flat = nd < 1e-28
+        # constant segment (relative to its largest g^2, so at any scale): any
+        # feasible q gives the same value; mix the uniform point and a vertex to meet pur
+        flat = nd <= 1e-28 * np.maximum(gs[..., 0] ** 2, gs[..., -1] ** 2)
         lam = math.sqrt(max(pur - 1.0 / k, 0.0) / (1.0 - 1.0 / k)) if k > 1 else 0.0
         t = np.sqrt(max(pur - 1.0 / k, 0.0) / np.where(flat, 1.0, nd))
         qk = np.where(flat[..., None], (1.0 - lam) / k, 1.0 / k + t[..., None] * dev)
@@ -266,7 +263,7 @@ def _functional_value(
     f = sum(weights[:, b, :, y] * eff[..., y, b, None, None] for b in range(2) for y in range(2))
     s = _eigvalsh(f)[..., -1]  # (..., a, x)
     g = sum(s[..., a, x] * eff[..., x, a] for a in range(2) for x in range(2))
-    return optimal_spectrum(_eigvalsh(g)[..., ::-1], pur)[0]
+    return _optimal_spectrum(_eigvalsh(g)[..., ::-1], pur)[0]
 
 
 def maximize_linear_functional(
@@ -284,6 +281,11 @@ def maximize_linear_functional(
     resolved exactly inside the objective, so the reported value is
     attainable by an explicit protocol.  The reported eigenvalue entries are
     clipped to [0, 1], as the objective sees them.  dim is a Python int.
+
+    The search's tolerances are absolute, in units of the functional:
+    ``kernels.FTOL`` (1e-12), the 1e-13 gain that starts a re-run and
+    ``HIT_TOL`` (1e-6).  So ``hit_rate`` and when a run stops depend on the
+    scale of the weights, while the exact inner maximization does not.
     """
     if not isinstance(dim, int) or dim not in (2, 3):
         raise DimensionError("dim must be 2 or 3")

@@ -33,6 +33,7 @@ from .quantum import (
     pauli_dot,
     trace_product,
 )
+from .witness import _check_unit
 
 _IDX = {"+": 0, "-": 1}
 
@@ -203,9 +204,8 @@ def params_to_protocol(params, p: float, w: float, d: int) -> tuple[DensityMatri
     X_x = 1 + a_x - a_(1-x) + w |q0 c0 - q1 c1|; a vanishing direction
     falls back to +z.
     """
-    for name, val in (("p", p), ("w", w)):
-        if not 0.0 <= val <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1]")
+    _check_unit("p", p)
+    _check_unit("w", w)
     if not isinstance(d, int) or d < 2:
         raise DimensionError(f"d must be an int of at least 2, got {d!r}")
     x = np.asarray(params, dtype=float)

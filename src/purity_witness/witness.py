@@ -88,9 +88,9 @@ def b1_threshold(p: float) -> float:
 
 def b1_max_constrained(p: float, w: float) -> float:
     """Maximal B1 with initial Bloch length p and post-state length w."""
-    _check_unit("p", p)
+    threshold = b1_threshold(p)  # checks p
     _check_unit("w", w)
-    if w <= b1_threshold(p):
+    if w <= threshold:
         return 2.0
     return 1.0 + 0.5 * (1.0 + w) + 0.25 * (1.0 + p) * (1.0 + w)
 
@@ -151,9 +151,9 @@ def postmeasurement_purity_bound(b1_exp: float, initial_purity: float) -> Purity
 
 def robustness_penalty(p: float, eps: float) -> float:
     """Drop of the attainable B1 when post states have length 1 - eps."""
-    _check_unit("p", p)
+    threshold = b1_threshold(p)  # checks p
     _check_unit("eps", eps)
-    if 1.0 - eps <= b1_threshold(p):
+    if 1.0 - eps <= threshold:
         raise DomainError(
             "1 - eps must exceed the threshold (1 - p)/(3 + p) "
             "for the linear penalty to apply"

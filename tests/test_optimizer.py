@@ -10,6 +10,7 @@ from purity_witness.errors import DimensionError, DomainError
 from purity_witness.optimizer import (
     _effects_from_params,
     _functional_value,
+    _optimal_spectrum,
     QUBIT_GAP_TOL,
     QUDIT_GAP_TOL,
     MAX_RESTARTS,
@@ -19,7 +20,6 @@ from purity_witness.optimizer import (
     maximize_b1_qudit_maxmixed,
     maximize_linear_functional,
     monotonicity_sweep,
-    optimal_spectrum,
 )
 from purity_witness.quantum import (
     BinaryMeasurement,
@@ -267,10 +267,10 @@ def test_search_reports_deterministic_in_seed():
 
 def test_optimal_spectrum_pure_and_mixed():
     g = np.array([3.0, 2.0, 1.0])
-    val, q = optimal_spectrum(g, 1.0)
+    val, q = _optimal_spectrum(g, 1.0)
     assert val == pytest.approx(3.0, abs=1e-12)
     np.testing.assert_allclose(q, [1.0, 0.0, 0.0], atol=1e-12)
-    val, q = optimal_spectrum(g, 1.0 / 3.0)
+    val, q = _optimal_spectrum(g, 1.0 / 3.0)
     assert val == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(q, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
@@ -281,7 +281,7 @@ def test_optimal_spectrum_beats_grid_search():
     for _ in range(20):
         g = np.sort(rng.normal(size=4))[::-1]
         pur = rng.uniform(0.25, 1.0)
-        val, q = optimal_spectrum(g, pur)
+        val, q = _optimal_spectrum(g, pur)
         assert q.min() >= -1e-12
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
         assert float(q @ q) == pytest.approx(pur, abs=1e-9)
@@ -303,7 +303,27 @@ def test_optimal_spectrum_beats_grid_search():
 
 def test_optimal_spectrum_domain():
     with pytest.raises(DomainError):
-        optimal_spectrum(np.array([1.0, 0.0]), 0.3)
+        _optimal_spectrum(np.array([1.0, 0.0]), 0.3)
+
+
+def test_optimal_spectrum_is_scale_free():
+    # a power of two scales every step exactly, so the value must scale bit
+    # for bit; a flatness test on the absolute spread would take the sloped
+    # segments of tiny g as flat and value them at their mean
+    for g, pur in (([1.0, 0.0], 0.78125), ([3.0, 2.0, 0.5], 0.6), ([2.0, 2.0, -1.0], 0.45),
+                   ([1.0, 1.0, 1.0], 0.6)):
+        g = np.array(g)
+        for j in (-60, -30, 30, 60):
+            assert _optimal_spectrum(g * 2.0**j, pur)[0] == 2.0**j * _optimal_spectrum(g, pur)[0]
+
+
+def test_functional_search_value_is_scale_free():
+    scale = 2.0**-50
+    rep = maximize_linear_functional(
+        LinearFunctional(b1_weights().weights * scale), 2, 0.78125, restarts=10, seed=0
+    )
+    # abs=0: approx's default absolute tolerance of 1e-12 would hide any error here
+    assert rep.best_value == pytest.approx(2.875 * scale, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +426,7 @@ def _functional_protocol(f, params, dim, pur):
             posts[x][a] = DensityMatrix(np.outer(vec[:, -1], vec[:, -1].conj()))
             g += lam[-1] * eff[x][a]
     lam, vec = np.linalg.eigh(g)
-    _, q = optimal_spectrum(lam[::-1], pur)
+    _, q = _optimal_spectrum(lam[::-1], pur)
     basis = vec[:, ::-1]
     rho = DensityMatrix((basis * q) @ basis.conj().T)
     meas = [BinaryMeasurement(Effect(plus[x]), *posts[x]) for x in range(2)]
@@ -493,39 +513,50 @@ def _reference_nelder_mead(args, x0, lo, hi, maxiter, ftol, xtol):
     return -vals[best], pts[best].copy()
 
 
-def _reference_multistart(args, starts, maxiter=_MAXITER):
-    """Per-start loop with chained re-runs and the earliest-start tie rule."""
+def _reference_multistart(args, starts, maxiter=_MAXITER, runs=None):
+    """Per-start loop with chained re-runs and the earliest-start tie rule;
+    ``runs``, if given, collects the number of runs of each start."""
     lo, hi = kernels.BOX
     search = (maxiter, kernels.FTOL, kernels.XTOL)
     per_start = []
     best_val, best_x = -np.inf, None
     for x0 in starts:
         val, x = _reference_nelder_mead(args, x0, lo, hi, *search)
-        for _ in range(3):
+        for n in range(2, 5):  # n counts the runs of this start
             val2, x2 = _reference_nelder_mead(args, x, lo, hi, *search)
             gained = val2 > val + 1e-13
             if val2 > val:
                 val, x = val2, x2
             if not gained:
                 break
+        if runs is not None:
+            runs.append(n)
         per_start.append(val)
         if val > best_val:
             best_val, best_x = val, x
     return best_val, best_x, np.array(per_start)
 
 
+# per search, a seed whose 6 starts end after their second run, and one with
+# a start whose second run gains more than 1e-13, so that a third run follows
+_ORACLE_SEEDS = [(21, 15), (21, 29)]
+
+
 @pytest.mark.parametrize("search", [0, 1])
 def test_lockstep_search_matches_scalar_reference_bitwise(search):
     args = _SEARCH_ARGS[search]
     lo, hi = kernels.BOX
-    starts = np.random.default_rng(21).uniform(lo, hi, size=(6, 5))
-    best, x, per_start = kernels.multistart_maximize(
-        lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
-    )
-    ref_best, ref_x, ref_per_start = _reference_multistart(args, starts)
-    assert best == ref_best
-    np.testing.assert_array_equal(x, ref_x)
-    np.testing.assert_array_equal(per_start, ref_per_start)
+    for seed in _ORACLE_SEEDS[search]:
+        starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
+        best, x, per_start = kernels.multistart_maximize(
+            lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
+        )
+        runs = []
+        ref_best, ref_x, ref_per_start = _reference_multistart(args, starts, runs=runs)
+        assert best == ref_best
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(per_start, ref_per_start)
+    assert max(runs) >= 3  # the last seed covers the chain of re-runs
 
 
 @pytest.mark.parametrize("search", [0, 1])

@@ -14,15 +14,15 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("quantum", "BinaryMeasurement BlochState DensityMatrix Effect "
-         "bloch_length_from_purity bloch_to_density density_to_bloch "
-         "partial_trace purity wootters_concurrence"),
+         "bloch_to_density density_to_bloch partial_trace purity "
+         "wootters_concurrence"),
         ("sequence", "CorrelationTable LinearFunctional ProtocolPair b1 b1_weights "
          "correlations evaluate_functional qudit_maxmixed_protocol "
          "qutrit_value4_protocol theorem2_protocol"),
         ("witness", "ConcurrenceBound PurityBound b1_max_constrained b1_max_initial "
-         "concurrence_bounds_from_state concurrence_upper_from_b1 "
-         "multipartite_concurrence_upper postmeasurement_purity_bound "
-         "purity_lower_bound robustness_penalty"),
+         "bloch_length_from_purity concurrence_bounds_from_state "
+         "concurrence_upper_from_b1 multipartite_concurrence_upper "
+         "postmeasurement_purity_bound purity_lower_bound robustness_penalty"),
         ("optimizer", "OptimizationReport maximize_b1_qubit "
          "maximize_b1_qudit_maxmixed maximize_linear_functional "
          "monotonicity_sweep"),

@@ -53,26 +53,18 @@ class WitnessCertificate:
         def pb(bound: Optional[PurityBound]):
             return None if bound is None else bound.to_dict()
 
-        def cb(bound: ConcurrenceBound):
-            return {
-                "upper": bound.upper,
-                "lower": bound.lower,
-                "source": bound.source.value,
-                "trivial": bound.trivial,
-            }
-
         return {
             "label": self.label,
             "b1_hat": self.b1_hat,
             "b1_lower_conf": self.b1_lower_conf,
             "confidence_delta": self.confidence_delta,
             "purity_bound": {
-                "point": pb(self.purity_point),
-                "confidence_adjusted": pb(self.purity_conf),
+                "point": self.purity_point.to_dict(),
+                "confidence_adjusted": self.purity_conf.to_dict(),
             },
             "concurrence_bound": {
-                "point": cb(self.concurrence_point),
-                "confidence_adjusted": cb(self.concurrence_conf),
+                "point": self.concurrence_point.to_dict(),
+                "confidence_adjusted": self.concurrence_conf.to_dict(),
             },
             "postmeasurement_purity_bound": {
                 "point": pb(self.postmeas_point),

@@ -132,13 +132,6 @@ def _cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _report_line(report, extra=None) -> str:
-    d = report.to_dict()
-    if extra:
-        d.update(extra)
-    return json.dumps(d, sort_keys=True)
-
-
 def _cmd_verify(args) -> int:
     import numpy as np
 
@@ -177,7 +170,7 @@ def _cmd_verify(args) -> int:
     # from the previous purity's value
     worst_gap, prev = 0.0, -np.inf
     for extra, rep in runs:
-        print(_report_line(rep, extra))
+        print(json.dumps({**rep.to_dict(), **extra}, sort_keys=True))
         worst_gap = max(worst_gap, abs(rep.attainable - rep.best_value))
         if args.subject == "monotonicity":
             worst_gap, prev = max(worst_gap, prev - rep.best_value), rep.best_value

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, DomainError
 from .sequence import LinearFunctional, b1_weights
-from .witness import b1_max_constrained, b1_max_initial
+from .witness import b1_max_constrained, b1_max_initial, bloch_length_from_purity
 
 QUBIT_GAP_TOL = 1e-6
 QUDIT_GAP_TOL = 1e-5
@@ -152,9 +152,13 @@ def _optimal_spectrum(g: np.ndarray, pur: float) -> tuple[float, np.ndarray]:
     g is sorted descending along its last axis; leading axes broadcast.  The
     optimum puts support on a top segment and is linear in the deviation of
     g from its segment mean.  Returns the maximal values (a float for 1-D g)
-    and the optimal eigenvalue vectors (same shape as g).
+    and the optimal eigenvalue vectors (same shape as g).  Each row is first
+    divided by the power of two of its largest |entry|, which is exact, so
+    the value scales with g at any finite scale.
     """
     d = g.shape[-1]
+    exp = np.frexp(np.abs(g).max(axis=-1))[1]  # 0 for a zero row
+    g = np.ldexp(g, -exp[..., None])
     best_val = np.full(g.shape[:-1], -np.inf)
     best_q = np.zeros(g.shape)
     for k in range(1, d + 1):
@@ -181,7 +185,7 @@ def _optimal_spectrum(g: np.ndarray, pur: float) -> tuple[float, np.ndarray]:
         best_q = np.where(better[..., None], q, best_q)
     if np.isneginf(best_val).any():
         raise DomainError("no feasible spectrum found")
-    return best_val[()], best_q
+    return np.ldexp(best_val, exp)[()], best_q
 
 
 def _effects_from_params(v: np.ndarray, d: int) -> np.ndarray:
@@ -298,7 +302,7 @@ def maximize_linear_functional(
     eig = np.arange(2 * npar) % npar < dim
     closed = None
     if dim == 2 and np.array_equal(weights, b1_weights().weights):
-        closed = b1_max_initial(math.sqrt(2.0 * pur - 1.0))
+        closed = b1_max_initial(bloch_length_from_purity(pur))
     return _search(
         lambda v: _functional_value(weights, v, dim, pur),
         (np.where(eig, 0.0, -math.pi), np.where(eig, 1.0, math.pi)), 8000,

@@ -240,13 +240,6 @@ def density_to_bloch(rho: DensityMatrix) -> BlochState:
     return BlochState(min(p, 1.0), vec / p)
 
 
-def bloch_length_from_purity(pur: float) -> float:
-    """p = sqrt(2P - 1) for qubit purity P in [1/2, 1]."""
-    if not 0.5 <= pur <= 1.0:
-        raise DomainError("qubit purity must lie in [1/2, 1]")
-    return float(np.sqrt(2.0 * pur - 1.0))
-
-
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Reduce a two-qubit state to subsystem 'A' or 'B'."""
     if rho.dim != 4:

@@ -63,10 +63,25 @@ class ConcurrenceBound:
             if self.lower > self.upper + 1e-10:
                 raise DomainError("concurrence lower bound exceeds upper bound")
 
+    def to_dict(self) -> dict:
+        return {
+            "upper": self.upper,
+            "lower": self.lower,
+            "source": self.source.value,
+            "trivial": self.trivial,
+        }
+
 
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value}")
+
+
+def bloch_length_from_purity(pur: float) -> float:
+    """p = sqrt(2P - 1) for qubit purity P in [1/2, 1]."""
+    if not 0.5 <= pur <= 1.0:
+        raise DomainError("qubit purity must lie in [1/2, 1]")
+    return math.sqrt(2.0 * pur - 1.0)
 
 
 def b1_max_initial(p: float) -> float:
@@ -77,7 +92,7 @@ def b1_max_initial(p: float) -> float:
 
 def b1_ceiling_for_purity(initial_purity: float) -> float:
     """The largest B1 an initial purity P allows: b1_max_initial(sqrt(2P - 1)) + 1e-9."""
-    return b1_max_initial(math.sqrt(2.0 * initial_purity - 1.0)) + 1e-9
+    return b1_max_initial(bloch_length_from_purity(initial_purity)) + 1e-9
 
 
 def b1_threshold(p: float) -> float:
@@ -136,7 +151,7 @@ def postmeasurement_purity_bound(b1_exp: float, initial_purity: float) -> Purity
     if b1_exp <= 2.0:
         return PurityBound(purity_lower=0.5, bloch_lower=0.0, trivial=True)
     pp = initial_purity
-    p = math.sqrt(2.0 * pp - 1.0)
+    p = bloch_length_from_purity(pp)
     denom = 4.0 + pp + 3.0 * p
     w_purity = (
         14.0 + 4.0 * b1_exp**2 + pp + 5.0 * p - 2.0 * b1_exp * (7.0 + p)
@@ -144,7 +159,7 @@ def postmeasurement_purity_bound(b1_exp: float, initial_purity: float) -> Purity
     w_purity = min(max(w_purity, 0.5), 1.0)
     return PurityBound(
         purity_lower=w_purity,
-        bloch_lower=math.sqrt(2.0 * w_purity - 1.0),
+        bloch_lower=bloch_length_from_purity(w_purity),
         trivial=False,
     )
 
@@ -162,11 +177,12 @@ def robustness_penalty(p: float, eps: float) -> float:
 
 
 def concurrence_upper_from_b1(b1_exp: float) -> ConcurrenceBound:
-    """C(rho_AB) <= sqrt(1 - (2 B1 - 5)^2), clamped to the trivial 1."""
+    """C(rho_AB) <= sqrt(1 - (2 B1 - 5)^2), clamped to the trivial 1 below
+    B1 = 5/2; B1 <= 3 keeps the radicand in [0, 1]."""
     _check_b1_range(b1_exp)
-    c = min(max(2.0 * b1_exp - 5.0, 0.0), 1.0)
+    c = max(2.0 * b1_exp - 5.0, 0.0)
     return ConcurrenceBound(
-        upper=math.sqrt(max(0.0, 1.0 - c * c)),
+        upper=math.sqrt(1.0 - c * c),
         source=ConcurrenceSource.TEMPORAL,
         trivial=b1_exp <= B1_TRIVIAL,
     )

@@ -313,17 +313,18 @@ def test_optimal_spectrum_is_scale_free():
     for g, pur in (([1.0, 0.0], 0.78125), ([3.0, 2.0, 0.5], 0.6), ([2.0, 2.0, -1.0], 0.45),
                    ([1.0, 1.0, 1.0], 0.6)):
         g = np.array(g)
-        for j in (-60, -30, 30, 60):
+        for j in (-600, -60, -30, 30, 60, 600):
             assert _optimal_spectrum(g * 2.0**j, pur)[0] == 2.0**j * _optimal_spectrum(g, pur)[0]
 
 
 def test_functional_search_value_is_scale_free():
-    scale = 2.0**-50
-    rep = maximize_linear_functional(
-        LinearFunctional(b1_weights().weights * scale), 2, 0.78125, restarts=10, seed=0
-    )
-    # abs=0: approx's default absolute tolerance of 1e-12 would hide any error here
-    assert rep.best_value == pytest.approx(2.875 * scale, rel=1e-9, abs=0.0)
+    # 2^-600 squares below the smallest float unless the spectrum step rescales
+    for scale in (2.0**-50, 2.0**-600):
+        rep = maximize_linear_functional(
+            LinearFunctional(b1_weights().weights * scale), 2, 0.78125, restarts=10, seed=0
+        )
+        # abs=0: approx's default absolute tolerance of 1e-12 would hide any error here
+        assert rep.best_value == pytest.approx(2.875 * scale, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize(

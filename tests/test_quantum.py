@@ -7,7 +7,6 @@ from purity_witness.quantum import (
     BlochState,
     DensityMatrix,
     Effect,
-    bloch_length_from_purity,
     bloch_to_density,
     density_to_bloch,
     partial_trace,
@@ -17,6 +16,7 @@ from purity_witness.quantum import (
     vector_length,
     wootters_concurrence,
 )
+from purity_witness.witness import bloch_length_from_purity
 
 from protocols import random_density
 

@@ -9,6 +9,7 @@ from purity_witness.witness import (
     ConcurrenceBound,
     ConcurrenceSource,
     PurityBound,
+    b1_ceiling_for_purity,
     b1_max_constrained,
     b1_max_initial,
     b1_threshold,
@@ -141,6 +142,12 @@ def test_postmeasurement_bound_purity_domain():
         postmeasurement_purity_bound(2.5, 0.4)
     with pytest.raises(DomainError):
         postmeasurement_purity_bound(2.5, 1.1)
+
+
+def test_b1_ceiling_for_purity_domain():
+    # below 1/2 the Bloch length sqrt(2P - 1) has no real value
+    with pytest.raises(DomainError):
+        b1_ceiling_for_purity(0.3)
 
 
 @pytest.mark.parametrize(

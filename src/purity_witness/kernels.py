@@ -8,7 +8,11 @@ search costs a few array operations per iteration instead of a Python loop
 per restart.  Each iteration builds the four points a simplex may move to
 (reflection, expansion, outside and inside contraction) as one
 ``(B, 4, n)`` array and evaluates them with one objective call; only a
-shrink calls the objective again.
+shrink calls the objective again.  The caller sets how often a start may run
+again from its own optimum: the B1 searches run each start once, since a
+second run moved no B1 best value by more than 4.4e-16, while the general
+functional search allows up to four runs, which free d = 3 simplices that
+collapse short of a maximum.
 
 Both B1 searches share one objective, over the block effects
 E_(+|x) = a_x(1 + b_x c_x.sigma) (+) 1_(d-2) with parameters
@@ -93,7 +97,7 @@ def _objective(params, p, w, d):
     return value + 2.0 / d * p * np.sqrt(np.maximum(m_sq, 0.0))
 
 
-def multistart_maximize(objective, starts, lo, hi, maxiter):
+def multistart_maximize(objective, starts, lo, hi, maxiter, runs):
     """Run a restarted simplex search from every start; keep the best.
 
     objective maps a ``(..., n)`` array of points to ``(...)`` values, and
@@ -110,9 +114,10 @@ def multistart_maximize(objective, starts, lo, hi, maxiter):
     A run ends once its simplex converges (FTOL, XTOL) or after ``maxiter``
     steps, with its best vertex.  Once every run has ended, the starts
     whose run gained more than 1e-13 on the one before run again from a
-    fresh simplex around that vertex, up to four runs in all; this frees
-    simplices that collapse short of a maximum.  Ties go to the earlier
-    start.  Returns (best_value, best_params, per_start_values).
+    fresh simplex around that vertex, up to ``runs`` runs in all (1: no
+    start runs again); this frees simplices that collapse short of a
+    maximum.  Ties go to the earlier start.  Returns (best_value,
+    best_params, per_start_values).
     """
     n_rows, n = starts.shape
     size = 0.1 * (hi - lo)
@@ -121,15 +126,15 @@ def multistart_maximize(objective, starts, lo, hi, maxiter):
     best_x = starts.astype(float)  # each start's best vertex; a run begins there
     again = np.ones(n_rows, dtype=bool)  # the starts of the next run
     rows = np.empty(0, dtype=int)  # the starts of the current run still active
-    runs = 0
+    run = 0
 
     while True:
         if rows.size == 0:  # every run has ended: the next one begins
             rows = np.flatnonzero(again)
-            if rows.size == 0 or runs == 4:
+            if rows.size == 0 or run == runs:
                 break
             again[:] = False
-            runs, step = runs + 1, 0
+            run, step = run + 1, 0
             x = best_x[rows]
             pts = np.repeat(x[:, None, :], n + 1, axis=1)
             up = x + size

@@ -318,13 +318,20 @@ def test_optimal_spectrum_is_scale_free():
 
 
 def test_functional_search_value_is_scale_free():
-    # 2^-600 squares below the smallest float unless the spectrum step rescales
-    for scale in (2.0**-50, 2.0**-600):
+    # 2^-600 squares below the smallest float unless the spectrum step
+    # rescales; at 2^-50 every start came within the absolute HIT_TOL of the
+    # best, and at 2^520 no run met the absolute FTOL before maxiter, unless
+    # the search runs on the weights scaled into [1, 2)
+    unit = maximize_linear_functional(b1_weights(), 2, 0.78125, restarts=10, seed=0)
+    for scale in (2.0**-50, 2.0**-600, 2.0**520):
         rep = maximize_linear_functional(
             LinearFunctional(b1_weights().weights * scale), 2, 0.78125, restarts=10, seed=0
         )
         # abs=0: approx's default absolute tolerance of 1e-12 would hide any error here
         assert rep.best_value == pytest.approx(2.875 * scale, rel=1e-9, abs=0.0)
+        assert rep.best_value == unit.best_value * scale
+        assert rep.hit_rate == unit.hit_rate
+        np.testing.assert_array_equal(rep.best_params, unit.best_params)
 
 
 @pytest.mark.parametrize(
@@ -514,16 +521,18 @@ def _reference_nelder_mead(args, x0, lo, hi, maxiter, ftol, xtol):
     return -vals[best], pts[best].copy()
 
 
-def _reference_multistart(args, starts, maxiter=_MAXITER, runs=None):
-    """Per-start loop with chained re-runs and the earliest-start tie rule;
-    ``runs``, if given, collects the number of runs of each start."""
+def _reference_multistart(args, starts, max_runs, maxiter=_MAXITER, runs=None):
+    """Per-start loop with up to ``max_runs`` chained runs and the
+    earliest-start tie rule; ``runs``, if given, collects the number of runs
+    of each start."""
     lo, hi = kernels.BOX
     search = (maxiter, kernels.FTOL, kernels.XTOL)
     per_start = []
     best_val, best_x = -np.inf, None
     for x0 in starts:
         val, x = _reference_nelder_mead(args, x0, lo, hi, *search)
-        for n in range(2, 5):  # n counts the runs of this start
+        n = 1  # n counts the runs of this start
+        for n in range(2, max_runs + 1):
             val2, x2 = _reference_nelder_mead(args, x, lo, hi, *search)
             gained = val2 > val + 1e-13
             if val2 > val:
@@ -541,23 +550,28 @@ def _reference_multistart(args, starts, maxiter=_MAXITER, runs=None):
 # per search, a seed whose 6 starts end after their second run, and one with
 # a start whose second run gains more than 1e-13, so that a third run follows
 _ORACLE_SEEDS = [(21, 15), (21, 29)]
+# the run limits of the B1 searches and of the functional search
+_RUN_LIMITS = (1, 4)
 
 
 @pytest.mark.parametrize("search", [0, 1])
 def test_lockstep_search_matches_scalar_reference_bitwise(search):
     args = _SEARCH_ARGS[search]
     lo, hi = kernels.BOX
-    for seed in _ORACLE_SEEDS[search]:
-        starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
-        best, x, per_start = kernels.multistart_maximize(
-            lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
-        )
-        runs = []
-        ref_best, ref_x, ref_per_start = _reference_multistart(args, starts, runs=runs)
-        assert best == ref_best
-        np.testing.assert_array_equal(x, ref_x)
-        np.testing.assert_array_equal(per_start, ref_per_start)
-    assert max(runs) >= 3  # the last seed covers the chain of re-runs
+    for max_runs in _RUN_LIMITS:
+        for seed in _ORACLE_SEEDS[search]:
+            starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
+            best, x, per_start = kernels.multistart_maximize(
+                lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER, max_runs
+            )
+            runs = []
+            ref_best, ref_x, ref_per_start = _reference_multistart(
+                args, starts, max_runs, runs=runs
+            )
+            assert best == ref_best
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(per_start, ref_per_start)
+    assert max(runs) >= 3  # the last seed at four runs covers the chain of re-runs
 
 
 @pytest.mark.parametrize("search", [0, 1])
@@ -567,15 +581,18 @@ def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(search, maxiter)
     # ends at maxiter and reports the best of its vertices as they stand
     args = _SEARCH_ARGS[search]
     lo, hi = kernels.BOX
-    for seed in range(4):
-        starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
-        best, x, per_start = kernels.multistart_maximize(
-            lambda x: kernels._objective(x, *args), starts, lo, hi, maxiter
-        )
-        ref_best, ref_x, ref_per_start = _reference_multistart(args, starts, maxiter)
-        assert best == ref_best
-        np.testing.assert_array_equal(x, ref_x)
-        np.testing.assert_array_equal(per_start, ref_per_start)
+    for max_runs in _RUN_LIMITS:
+        for seed in range(4):
+            starts = np.random.default_rng(seed).uniform(lo, hi, size=(6, 5))
+            best, x, per_start = kernels.multistart_maximize(
+                lambda x: kernels._objective(x, *args), starts, lo, hi, maxiter, max_runs
+            )
+            ref_best, ref_x, ref_per_start = _reference_multistart(
+                args, starts, max_runs, maxiter
+            )
+            assert best == ref_best
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(per_start, ref_per_start)
 
 
 # objective calls of two fixed searches, by the middle axis of the array each
@@ -584,10 +601,15 @@ def test_lockstep_maxiter_exit_matches_scalar_reference_bitwise(search, maxiter)
 # Both counts hold at every x86-64 dispatch level of numpy 2.4, since the
 # engine's stable sort fixes the order of tied vertices.  The qubit count was
 # taken again when the qubit search moved to the qudit search's (a, b)
-# coordinates, which changed every simplex it runs.
+# coordinates, which changed every simplex it runs.  Both were taken again
+# when the B1 searches went to one run per start, which drops the second
+# initial-simplex call and the steps of the re-runs; they were counted on the
+# method of ``_reference_nelder_mead``, run once per start, as one
+# initial-simplex call, one candidate call per step that any start takes and
+# one shrink call per step at which any start shrinks.
 _OBJECTIVE_CALLS = {
-    "qubit": {6: 2, 4: 112, 5: 98},
-    "qudit": {6: 2, 4: 270, 5: 158},
+    "qubit": {6: 1, 4: 79, 5: 65},
+    "qudit": {6: 1, 4: 197, 5: 87},
 }
 
 
@@ -647,16 +669,20 @@ def test_report_hit_rate_counts_starts_near_the_best(monkeypatch):
 # reported points are now in other coordinates, while the qudit entries held.
 # The functional entry was taken again when that search moved to Givens
 # effects and Jacobi eigenvalues in real arithmetic, which changed its
-# parameters and every value it computes.  No search calls BLAS or LAPACK or
-# a ufunc whose bits follow numpy's dispatch level, so every entry holds at
-# every dispatch level, baseline x86-64 included, and under any OpenBLAS
-# kernel (see the tests below).
+# parameters and every value it computes.  The B1 entries were taken again
+# when the B1 searches went to one run per start, from
+# ``_reference_multistart`` with one run per start.  The qubit (1, 1) and qudit d = 4 entries moved:
+# there re-runs had lifted 8 of 100 and 1 of 20 per-start values, by 0.25 at
+# most, while no search's best value moved by a bit.  No search calls BLAS or
+# LAPACK or a ufunc whose bits follow numpy's dispatch level, so every entry
+# holds at every dispatch level, baseline x86-64 included, and under any
+# OpenBLAS kernel (see the tests below).
 _SEARCH_DIGESTS = {
     ("qubit", 0.25, 0.25): "c60c5ca194c790c5bd1e7ae6eb105e9bdb3fef02d2c27aabc6f6942344f201b7",
     ("qubit", 0.5, 0.75): "72bea857a1f2f961afd0e8c00340c71f25d16fb4f6a81ec78c152c3fe88440c2",
-    ("qubit", 1.0, 1.0): "1cceed1eeec3e012881d3d738811874f9c25b2366c3365a571872d83cec86f4a",
+    ("qubit", 1.0, 1.0): "dbfbe9199981203fb0859d3b7611793a42fb97d654223070c6062ebdca74e7e9",
     ("qudit", 3): "90a261defe799cc0805e18b1b49a035ae266b46471d44e180957bccfbba42d4c",
-    ("qudit", 4): "8611bea045a14abfae11677f592e9548bc6b39f66540828f93eaed3be2e05b02",
+    ("qudit", 4): "5576495f826b763480046f06acedddbec8f2cb389f6af735a69f9454e3fdb04d",
     ("qudit", 5): "6e7f6506a1053803b74f9ddeabce923484da087a4425ee4f38fa7c6368eacac5",
     ("qudit", 6): "32611f5447d3d7440059e0ed7a60b3d7c2a104df71433ad72ca597382801aeb3",
     ("functional", 3): "60678959f9b9958a5fb3fff3f6d102208bff3f59091bdcaf8ca85461f156a653",
@@ -741,11 +767,11 @@ def test_lockstep_rows_share_no_state(search):
     lo, hi = kernels.BOX
     starts = np.random.default_rng(4).uniform(lo, hi, size=(12, 5))
     _, _, batch = kernels.multistart_maximize(
-        lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER
+        lambda x: kernels._objective(x, *args), starts, lo, hi, _MAXITER, 4
     )
     single = [
         kernels.multistart_maximize(
-            lambda x: kernels._objective(x, *args), s[None], lo, hi, _MAXITER
+            lambda x: kernels._objective(x, *args), s[None], lo, hi, _MAXITER, 4
         )[2][0]
         for s in starts
     ]
